@@ -134,7 +134,7 @@ Client::Op Client::Draw() {
 }
 
 void Client::Run(uint64_t ops) {
-  if (env_.tracing) Tracer::SetClientOp(0);
+  if (Tracer::enabled()) Tracer::SetClientOp(0);
   for (uint64_t i = 0; i < ops && first_error_.ok(); ++i) {
     const Op op = Draw();
     const uint64_t op_id = (static_cast<uint64_t>(id_ + 1) << 40) | ++next_op_;
@@ -182,7 +182,8 @@ void Client::RunDirect(const Op& op, uint64_t op_id) {
       }
     }
   };
-  if (env_.tracing) Tracer::SetClientOp(op_id);
+  const bool tracing = Tracer::enabled();
+  if (tracing) Tracer::SetClientOp(op_id);
   KindTally& t = tally_[op.kind];
   burtree::PageStore::ResetThreadIo();
   const int64_t start = Tracer::NowNs();
@@ -198,7 +199,7 @@ void Client::RunDirect(const Op& op, uint64_t op_id) {
   const int64_t end = Tracer::NowNs();
   t.io += burtree::PageStore::thread_io();
   ++t.io_calls;
-  if (env_.tracing) Tracer::SetClientOp(0);
+  if (tracing) Tracer::SetClientOp(0);
   if (st.ok()) {
     Sample(op.kind, end - start, end);
   } else {
@@ -217,7 +218,7 @@ void Client::Submit(const Op& op, uint64_t op_id) {
                  : env_.ingest->SubmitInsert(op.oid, op.to);
   p.submit_end_ns = Tracer::NowNs();
   if (op.kind == kInsert) unacked_inserts_.emplace_back(op.oid, p.handle);
-  if (env_.tracing && op.kind == kUpdate) {
+  if (Tracer::enabled() && op.kind == kUpdate) {
     Tracer::Local().op_keys.emplace_back(op_id,
                                          UpdateKey{op.oid, op.from, op.to});
   }
@@ -253,7 +254,7 @@ void Client::Acknowledge(Pending& p, int64_t ack_ns) {
       }
     }
   }
-  if (env_.tracing) {
+  if (Tracer::enabled()) {
     // The op's spans are recorded at acknowledgement: other ops of this
     // client ran while it was outstanding, so its spans cannot nest on
     // the client's span stack.

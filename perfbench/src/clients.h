@@ -85,7 +85,6 @@ struct ClientEnv {
   burtree::WorkloadGenerator* positions = nullptr;
   burtree::ConcurrentIndex* index = nullptr;
   burtree::IngestPool* ingest = nullptr;  ///< durable workloads only
-  bool tracing = false;
 };
 
 /// One closed-loop client: its op stream state plus what it measured.
@@ -102,8 +101,8 @@ class Client {
   /// outstanding submission. Stops early only on a failed op.
   void Run(uint64_t ops);
 
-  /// Forgets what was measured so far (after the warm-up); the stream
-  /// state (Rng, churned objects) carries on.
+  /// Forgets what was measured so far (before each timed phase); the
+  /// stream state (Rng, churned objects) carries on.
   void ResetMeasurements();
 
   const std::array<KindTally, kOpKinds>& tally() const { return tally_; }

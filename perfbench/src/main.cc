@@ -6,10 +6,11 @@
 // with its unit. The last stdout line is the result object run.py relays.
 //
 //   --trace 0  end-to-end metrics of one untraced timed phase.
-//   --trace 1  an untraced and then a traced timed phase on fresh set-ups
-//              with the same seed; prints the per-layer metrics (counters
-//              from the untraced phase, spans from the traced one) and the
-//              tracing overhead between the two.
+//   --trace 1  the same untraced timed phase, then a traced one on the same
+//              set-up whose rounds are alternately untraced and traced;
+//              prints the per-layer metrics (counters from the first phase,
+//              spans from the traced one) and the tracing overhead between
+//              neighbouring rounds.
 #include <sys/statfs.h>
 #include <sys/utsname.h>
 
@@ -41,11 +42,13 @@ struct Args {
   uint64_t seconds = 10;
   bool trace = false;
   std::string out_dir = ".bench_out";
-  /// Overrides for the benchmark's own tests (toy runs).
+  /// Override for the benchmark's own tests (toy runs).
   uint64_t ops_per_client = 0;  ///< 0 = derived from --seconds
-  uint64_t setups = 3;
   RunConfig run;
 };
+
+/// Set-ups per run; setup_s and the setup.* metrics are their medians.
+constexpr int kSetups = 3;
 
 [[noreturn]] void Usage(const std::string& why) {
   std::fprintf(stderr,
@@ -53,8 +56,7 @@ struct Args {
                "usage: perfbench_driver --workload tracking|read_mostly|"
                "durable_ingest --seed N --seconds N --trace 0|1\n"
                "  [--out-dir DIR] [--scratch-dir DIR] [--objects N] "
-               "[--clients N] [--ops-per-client N] [--warm-ops N] "
-               "[--setups N]\n",
+               "[--clients N] [--ops-per-client N]\n",
                why.c_str());
   std::exit(2);
 }
@@ -90,10 +92,6 @@ Args ParseArgs(int argc, char** argv) {
       a.run.clients = static_cast<uint32_t>(num(1, 64));
     } else if (key == "--ops-per-client") {
       a.ops_per_client = num(1, 1000000000);
-    } else if (key == "--warm-ops") {
-      a.run.warm_ops = num(0, 1000000000);
-    } else if (key == "--setups") {
-      a.setups = num(1, 9);
     } else {
       Usage("unknown flag " + key);
     }
@@ -312,20 +310,19 @@ int Main(int argc, char** argv) {
   // Latency buffers exist before any set-up, so peak RSS does not depend
   // on when they grow.
   std::vector<std::vector<LatencySample>> samples(args.run.clients);
-  for (auto& s : samples) s.reserve(std::max(ops_per_client, args.run.warm_ops));
+  for (auto& s : samples) {
+    s.reserve(std::max(ops_per_client, kWarmOpsPerClient));
+  }
 
-  // Untraced: every set-up but the last is discarded after it is timed.
-  // Traced: set-up A runs the untraced phase, set-up B the traced one.
-  const uint64_t setups = args.trace ? 2 : args.setups;
+  // Every set-up but the last is discarded after it is timed. A traced run
+  // hands the last one the forwarding strategy, which records nothing
+  // while tracing is off.
   std::vector<SetupTimes> times;
   std::vector<double> totals;
   std::unique_ptr<Deployment> d;
-  PhaseResult first;  // the untraced phase of a traced run
-  for (uint64_t i = 0; i < setups; ++i) {
+  for (int i = 0; i < kSetups; ++i) {
     d.reset();
-    const bool traced_setup = args.trace && i == 1;
-    if (traced_setup) Tracer::Reset();
-    auto s = Setup(spec, args.run, traced_setup, &samples,
+    auto s = Setup(spec, args.run, args.trace && i + 1 == kSetups, &samples,
                    i == 0 ? process_start : Tracer::NowNs());
     if (!s.ok()) {
       std::fprintf(stderr, "perfbench_driver: set-up failed: %s\n",
@@ -335,12 +332,13 @@ int Main(int argc, char** argv) {
     d = std::move(s).value();
     times.push_back(d->times);
     totals.push_back(d->times.total_s);
-    if (args.trace && i == 0) {
-      first = TimedPhase(*d, args.run, ops_per_client, /*tracing=*/false);
-    }
   }
-  const PhaseResult last = TimedPhase(*d, args.run, ops_per_client, args.trace);
-  const PhaseResult& untraced = args.trace ? first : last;
+  const PhaseResult untraced =
+      TimedPhase(*d, args.run, ops_per_client, /*traced=*/false);
+  PhaseResult traced;
+  if (args.trace) {
+    traced = TimedPhase(*d, args.run, ops_per_client, /*traced=*/true);
+  }
 
   std::printf("perfbench workload=%s seed=%" PRIu64 " seconds=%" PRIu64
               " trace=%d\n",
@@ -350,10 +348,10 @@ int Main(int argc, char** argv) {
   std::printf("record %s\n", record.c_str());
   PrintPhase(args.trace ? "untraced" : "timed", untraced);
   PrintSlices(untraced);
-  if (args.trace) PrintPhase("traced", last);
+  if (args.trace) PrintPhase("traced", traced);
 
   const bool correct =
-      untraced.check_failures.empty() && last.check_failures.empty();
+      untraced.check_failures.empty() && traced.check_failures.empty();
   if (!correct) {
     std::fprintf(stderr, "perfbench_driver: correctness checks failed\n");
     return 1;
@@ -374,27 +372,21 @@ int Main(int argc, char** argv) {
       return 1;
     }
     std::printf("spans written to %s\n", span_path.c_str());
-    auto median_tps = [](const PhaseResult& r) {
-      std::vector<double> v;
-      for (const SliceStats& s : Slices(r)) v.push_back(s.ops_per_s);
-      return Median(v);
-    };
-    const double untraced_tps = median_tps(untraced);
-    const double traced_tps = median_tps(last);
-    const double overhead = (Ratio(untraced_tps, traced_tps) - 1.0) * 100.0;
-    std::printf("trace overhead: untraced %.1f ops/s, traced %.1f ops/s\n",
-                untraced_tps, traced_tps);
-    metrics = PerLayerMetrics(untraced, last, spans, times, overhead,
+    std::printf("traced phase rounds (ops/s, traced in brackets):");
+    for (size_t i = 0; i < traced.round_ops_per_s.size(); ++i) {
+      std::printf(i % 2 ? " [%.0f]" : " %.0f", traced.round_ops_per_s[i]);
+    }
+    std::printf("\n");
+    metrics = PerLayerMetrics(untraced, traced, spans, times,
                               d->system().file().page_size(), spec.durable);
   }
   PrintMetrics(metrics);
 
   const std::string json = "{\"correct\": true, \"attempted\": " +
                            std::to_string(untraced.attempted +
-                                          (args.trace ? last.attempted : 0)) +
+                                          traced.attempted) +
                            ", \"failed\": " +
-                           std::to_string(untraced.failed +
-                                          (args.trace ? last.failed : 0)) +
+                           std::to_string(untraced.failed + traced.failed) +
                            ", \"metrics\": " + MetricsJson(metrics) + "}";
   const std::string result_path = args.out_dir + "/result-" + args.workload +
                                   "-seed" + std::to_string(args.run.seed) +

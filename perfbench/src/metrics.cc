@@ -12,6 +12,17 @@ double Pct(std::vector<uint64_t> ns, double p) {
   return static_cast<double>(burtree::PercentileNs(ns, p)) / 1e3;
 }
 
+/// Per traced round (odd index), the mean rate of the untraced rounds on
+/// either side over its own rate; the median of those ratios, minus 1, in
+/// percent. A host stall that hits one round moves only its own ratios.
+double TraceOverheadPct(const std::vector<double>& rounds) {
+  std::vector<double> ratios;
+  for (size_t i = 1; i + 1 < rounds.size(); i += 2) {
+    ratios.push_back(Ratio((rounds[i - 1] + rounds[i + 1]) / 2, rounds[i]));
+  }
+  return ratios.empty() ? 0.0 : (Median(ratios) - 1.0) * 100.0;
+}
+
 }  // namespace
 
 double Median(std::vector<double> v) {
@@ -106,8 +117,7 @@ std::vector<Metric> PerLayerMetrics(const PhaseResult& r,
                                     const PhaseResult& traced,
                                     const SpanAnalysis& spans,
                                     const std::vector<SetupTimes>& setups,
-                                    double overhead_pct, size_t page_size,
-                                    bool durable) {
+                                    size_t page_size, bool durable) {
   const Counters& a = r.before;
   const Counters& b = r.timed_end;
   const double ops = static_cast<double>(r.completed);
@@ -191,8 +201,7 @@ std::vector<Metric> PerLayerMetrics(const PhaseResult& r,
       {"ingest.submit_us", span_mean(kIngestSubmit), "us"},
       {"ingest.worker_update_us",
        Ratio(spans.worker_update_us,
-             static_cast<double>(traced.timed_end.ingest.batched_ops -
-                                 traced.before.ingest.batched_ops)),
+             static_cast<double>(traced.traced_batched_ops)),
        "us/op"},
       // cc: writes
       {"cc.update_self_us",
@@ -335,7 +344,7 @@ std::vector<Metric> PerLayerMetrics(const PhaseResult& r,
       {"setup.generate_s", Median(gen), "s"},
       {"setup.build_s", Median(build), "s"},
       {"setup.warm_s", Median(warm), "s"},
-      {"trace.overhead_pct", overhead_pct, "%"},
+      {"trace.overhead_pct", TraceOverheadPct(traced.round_ops_per_s), "%"},
   };
   return m;
 }

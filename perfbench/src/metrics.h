@@ -52,13 +52,12 @@ std::vector<Metric> EndToEndMetrics(const PhaseResult& r,
                                     const std::vector<double>& setups,
                                     size_t page_size);
 
-/// Counters come from the untraced phase `r`, span-derived metrics from
-/// `traced` and `spans`.
+/// Counters come from the untraced phase `r`, span-derived metrics and
+/// the tracing overhead from `traced` and `spans`.
 std::vector<Metric> PerLayerMetrics(const PhaseResult& r,
                                     const PhaseResult& traced,
                                     const SpanAnalysis& spans,
                                     const std::vector<SetupTimes>& setups,
-                                    double overhead_pct, size_t page_size,
-                                    bool durable);
+                                    size_t page_size, bool durable);
 
 }  // namespace perfbench

@@ -174,7 +174,7 @@ void CheckIndex(Deployment& d, const RunConfig& run, PhaseResult* r) {
 }  // namespace
 
 burtree::StatusOr<std::unique_ptr<Deployment>> Setup(
-    const WorkloadSpec& spec, const RunConfig& run, bool tracing,
+    const WorkloadSpec& spec, const RunConfig& run, bool traceable,
     std::vector<std::vector<LatencySample>>* samples, int64_t start_ns) {
   auto d = std::make_unique<Deployment>();
   burtree::ExperimentConfig cfg;
@@ -216,7 +216,7 @@ burtree::StatusOr<std::unique_ptr<Deployment>> Setup(
   copts.read_mode = burtree::ReadMode::kOptimistic;
   copts.io_latency_us = 0;  // measure the program, not a latency model
   burtree::UpdateStrategy* strategy = d->fx.strategy.get();
-  if (tracing) {
+  if (traceable) {
     d->tracing_strategy = std::make_unique<TracingStrategy>(strategy);
     strategy = d->tracing_strategy.get();
   }
@@ -235,7 +235,6 @@ burtree::StatusOr<std::unique_ptr<Deployment>> Setup(
   d->env.positions = d->positions.get();
   d->env.index = d->index.get();
   d->env.ingest = d->ingest.get();
-  d->env.tracing = tracing;
   for (uint32_t i = 0; i < run.clients; ++i) {
     d->clients.push_back(
         std::make_unique<Client>(d->env, i, &(*samples)[i]));
@@ -244,23 +243,44 @@ burtree::StatusOr<std::unique_ptr<Deployment>> Setup(
     BURTREE_RETURN_IF_ERROR(
         d->fx.executor->Query(burtree::Rect(0.0, 0.0, 1.0, 1.0)).status());
   }
-  if (run.warm_ops > 0) RunClients(*d, run.warm_ops);
+  RunClients(*d, kWarmOpsPerClient);
   BURTREE_RETURN_IF_ERROR(FirstClientError(*d));
-  for (auto& c : d->clients) c->ResetMeasurements();
   d->times.warm_s = SecondsSince(t);
   d->times.total_s = SecondsSince(start_ns);
   return d;
 }
 
 PhaseResult TimedPhase(Deployment& d, const RunConfig& run, uint64_t ops,
-                       bool tracing) {
+                       bool traced) {
   PhaseResult r;
   burtree::IndexSystem& sys = d.system();
+  for (auto& c : d.clients) c->ResetMeasurements();
   r.before = Snapshot(d);
-  Tracer::Enable(tracing);
-  r.start_ns = RunClients(d, ops);
+  if (!traced) {
+    r.start_ns = RunClients(d, ops);
+  } else {
+    // Neighbouring rounds see nearly the same host, so comparing each
+    // traced round with the untraced ones on either side of it measures
+    // the tracing rather than the host's drift. Between rounds every op
+    // is acknowledged and the ingest workers are idle.
+    const uint64_t chunk = ops / kTraceRounds;
+    for (int i = 0; i < kTraceRounds; ++i) {
+      const bool on = i % 2 == 1;
+      Tracer::Enable(on);
+      const uint64_t batched = d.ingest ? d.ingest->stats().batched_ops : 0;
+      const int64_t start = RunClients(d, chunk);
+      const double seconds = SecondsSince(start);
+      if (i == 0) r.start_ns = start;
+      r.round_ops_per_s.push_back(
+          static_cast<double>(chunk * d.clients.size()) / seconds);
+      if (on && d.ingest) {
+        r.traced_batched_ops += d.ingest->stats().batched_ops - batched;
+      }
+    }
+  }
   r.elapsed_s = SecondsSince(r.start_ns);
   r.timed_end = Snapshot(d);
+  Tracer::Enable(traced);
   // Run end: make the log durable, checkpoint, flush every dirty page, so
   // deferred writes reach the counters (as the paper's runs flush).
   int64_t t = Tracer::NowNs();

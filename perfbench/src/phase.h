@@ -15,13 +15,19 @@
 
 namespace perfbench {
 
+/// Warm-up ops every client runs in each set-up, before the timed phase.
+constexpr uint64_t kWarmOpsPerClient = 5000;
+
+/// Rounds of a traced phase: untraced and traced in turn, untraced first
+/// and last, so every traced round sits between two untraced ones.
+constexpr int kTraceRounds = 41;
+
 /// What sizes a run. The defaults are the benchmark's; the benchmark's own
 /// tests shrink them.
 struct RunConfig {
   uint64_t seed = 1;
   uint64_t objects = 200000;  ///< 1/5 of the paper's 1M
   uint32_t clients = 4;
-  uint64_t warm_ops = 5000;  ///< per client
   /// Where the WAL puts its log file.
   std::string scratch_dir = ".bench_tmp";
 };
@@ -62,9 +68,10 @@ struct Deployment {
 };
 
 /// Builds the system for `spec`, starts its clients (each with its buffer in
-/// `samples`) and warms it up. `start_ns` is when this set-up began.
+/// `samples`) and warms it up. `start_ns` is when this set-up began. With
+/// `traceable`, ConcurrentIndex gets a TracingStrategy around GBU.
 burtree::StatusOr<std::unique_ptr<Deployment>> Setup(
-    const WorkloadSpec& spec, const RunConfig& run, bool tracing,
+    const WorkloadSpec& spec, const RunConfig& run, bool traceable,
     std::vector<std::vector<LatencySample>>* samples, int64_t start_ns);
 
 /// Snapshot of every layer's public stats.
@@ -100,6 +107,10 @@ struct PhaseResult {
   double durable_wait_ms = 0.0;
   double checkpoint_ms = 0.0;
   double flush_ms = 0.0;
+  /// Traced phase: completed ops per second of each round, in order.
+  std::vector<double> round_ops_per_s;
+  /// Traced phase: IngestPool batched ops during the traced rounds.
+  uint64_t traced_batched_ops = 0;
   /// Process peak RSS when the run end finished, before the benchmark's
   /// own analysis allocates anything.
   double peak_rss_mb = 0.0;
@@ -111,9 +122,12 @@ struct PhaseResult {
   uint32_t final_height = 0;
 };
 
-/// Runs every client's next `ops` ops (tracing them if asked), then the run
-/// end (WAL durable, checkpoint, flush) and the checks.
+/// Runs every client's next `ops` ops, then the run end (WAL durable,
+/// checkpoint, flush) and the checks. Measures only this phase's ops; a
+/// set-up may run several phases one after the other. With `traced`, the
+/// clients run the ops in kTraceRounds rounds, alternately untraced and
+/// traced, and the run end is traced.
 PhaseResult TimedPhase(Deployment& d, const RunConfig& run, uint64_t ops,
-                       bool tracing);
+                       bool traced);
 
 }  // namespace perfbench

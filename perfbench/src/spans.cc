@@ -31,13 +31,7 @@ static_assert(sizeof(Span) == 32, "span records are written as 32 bytes");
 
 std::mutex registry_mu;
 std::vector<std::unique_ptr<ThreadSpans>> registry;  // guarded by registry_mu
-std::atomic<uint64_t> generation{1};
-
-struct LocalSlot {
-  uint64_t generation = 0;
-  ThreadSpans* buffer = nullptr;
-};
-thread_local LocalSlot local_slot;
+thread_local ThreadSpans* local_buffer = nullptr;
 
 bool IsUpdateSpan(uint16_t name) {
   return name == kUpdatePlan || name == kUpdateScoped ||
@@ -72,22 +66,14 @@ void Tracer::Enable(bool on) {
   enabled_.store(on, std::memory_order_relaxed);
 }
 
-void Tracer::Reset() {
-  std::lock_guard lock(registry_mu);
-  registry.clear();
-  generation.fetch_add(1, std::memory_order_relaxed);
-}
-
 ThreadSpans& Tracer::Local() {
-  const uint64_t gen = generation.load(std::memory_order_relaxed);
-  if (local_slot.generation != gen || local_slot.buffer == nullptr) {
+  if (local_buffer == nullptr) {
     std::lock_guard lock(registry_mu);
     registry.push_back(std::make_unique<ThreadSpans>());
     registry.back()->thread = static_cast<uint16_t>(registry.size() - 1);
-    local_slot.buffer = registry.back().get();
-    local_slot.generation = gen;
+    local_buffer = registry.back().get();
   }
-  return *local_slot.buffer;
+  return *local_buffer;
 }
 
 void Tracer::SetClientOp(uint64_t op) {
@@ -219,9 +205,11 @@ StatusOr<UpdateResult> TracingStrategy::UpdateScoped(
   ScopedSpan span(kUpdateScoped, &key);
   StatusOr<UpdateResult> r =
       inner_->UpdateScoped(scope, plan, oid, old_pos, new_pos);
-  scoped_calls_.fetch_add(1, std::memory_order_relaxed);
-  if (r.status().code() == burtree::StatusCode::kLatchContention) {
-    scoped_contended_.fetch_add(1, std::memory_order_relaxed);
+  if (Tracer::enabled()) {
+    scoped_calls_.fetch_add(1, std::memory_order_relaxed);
+    if (r.status().code() == burtree::StatusCode::kLatchContention) {
+      scoped_contended_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   return r;
 }

@@ -80,15 +80,13 @@ struct ThreadSpans {
   uint64_t current_op = 0;
 };
 
-/// Process-wide span store. Enable/Reset/Collect run with no recording
-/// thread active; recording itself touches only the calling thread's
-/// buffer.
+/// Process-wide span store. Spans are recorded only while tracing is
+/// enabled; Buffers() runs with no recording thread active, and recording
+/// itself touches only the calling thread's buffer.
 class Tracer {
  public:
   static void Enable(bool on);
   static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
-  /// Drops every buffer (between the untraced and the traced run).
-  static void Reset();
   /// The calling thread's buffer, registered on first use.
   static ThreadSpans& Local();
   /// Marks the calling thread as a client and sets its current op (0 =
@@ -141,8 +139,9 @@ SpanAnalysis AnalyseSpans();
 /// one-line text header naming the span names; returns false on I/O error.
 bool WriteSpans(const std::string& path);
 
-/// Forwarding strategy for the traced run: times each strategy call as an
-/// update.* span and counts scoped attempts that bailed on contention.
+/// Forwarding strategy for the traced run: while tracing is enabled, times
+/// each strategy call as an update.* span and counts scoped attempts that
+/// bailed on contention; otherwise it only forwards.
 /// Escalated-path bookkeeping lands in this wrapper's own counters (the
 /// cc layer calls RecordEscalatedPath on the strategy it was given), so
 /// the full path mix is CombinedPathCounts().
