@@ -85,7 +85,7 @@ struct Counters {
   burtree::WalStats wal;
   burtree::RTreeStats tree;
   burtree::UpdatePathCounts paths;
-  uint64_t scoped_calls = 0;      ///< traced run: UpdateScoped calls
+  uint64_t scoped_calls = 0;      ///< UpdateScoped calls while tracing
   uint64_t scoped_contended = 0;  ///< ... that bailed on contention
 };
 
