@@ -35,6 +35,9 @@ struct WorkloadSpec {
   /// WAL on, and clients submit updates/inserts through an IngestPool
   /// instead of calling ConcurrentIndex directly.
   bool durable = false;
+  /// Client threads. With the ingest workers, busy threads never outnumber
+  /// the reference host's 4 vCPUs.
+  uint32_t clients = 4;
   /// Tree buffer size as a share of the built tree's pages.
   double buffer_fraction = 0.01;
   /// Warm-up starts with a full-space scan that loads every tree page.

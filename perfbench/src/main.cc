@@ -1,9 +1,10 @@
 // perfbench_driver: one benchmark run of one workload against the burtree
 // library as shipped. Sets the system up several times (setup_s is their
-// median), runs a fixed-op-count closed-loop timed phase with 4 client
-// threads on the last set-up, checks the index against the benchmark's own
-// record of every acknowledged position, and prints every metric by name
-// with its unit. The last stdout line is the result object run.py relays.
+// median), runs a fixed-op-count closed-loop timed phase with the
+// workload's client threads on the last set-up, checks the index against
+// the benchmark's own record of every acknowledged position, and prints
+// every metric by name with its unit. The last stdout line is the result
+// object run.py relays.
 //
 //   --trace 0  end-to-end metrics of one untraced timed phase.
 //   --trace 1  the same untraced timed phase, then a traced one on the same
@@ -96,9 +97,9 @@ Args ParseArgs(int argc, char** argv) {
       Usage("unknown flag " + key);
     }
   }
-  if (FindWorkload(a.workload) == nullptr) {
-    Usage("unknown workload '" + a.workload + "'");
-  }
+  const WorkloadSpec* spec = FindWorkload(a.workload);
+  if (spec == nullptr) Usage("unknown workload '" + a.workload + "'");
+  if (a.run.clients == 0) a.run.clients = spec->clients;
   return a;
 }
 
@@ -190,12 +191,14 @@ void PrintMetrics(const std::vector<Metric>& metrics) {
 }
 
 void PrintSlices(const PhaseResult& r) {
-  std::printf("slices (ops/s, update p99 us, query p99 us):");
-  for (const SliceStats& s : Slices(r)) {
-    std::printf(" %.0f/%.0f/%.0f", s.ops_per_s, s.p99_us[kUpdate],
-                s.p99_us[kQuery]);
-  }
-  std::printf("\n");
+  auto print = [](const char* label, const std::vector<double>& v) {
+    std::printf("slices %s:", label);
+    for (double x : v) std::printf(" %.0f", x);
+    std::printf("\n");
+  };
+  print("ops/s", SliceRates(r));
+  print("update p99 us", SlicePercentiles(r, kUpdate, 99));
+  print("query p99 us", SlicePercentiles(r, kQuery, 99));
 }
 
 void PrintPhase(const char* label, const PhaseResult& r) {

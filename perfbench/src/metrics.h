@@ -29,23 +29,32 @@ struct Metric {
 
 double Median(std::vector<double> v);
 
+/// The p-quantile of `v` (0 <= p <= 1), interpolating linearly between
+/// neighbouring order statistics; 0 when `v` is empty.
+double Quantile(std::vector<double> v, double p);
+
 /// num / den, or 0 when den is 0.
 double Ratio(double num, double den);
 
-/// The timed phase cut into kSlices slices of equally many completed ops
-/// (in completion order). Time metrics are medians over the slices, so a
-/// host hiccup inside one slice does not move them.
-constexpr size_t kSlices = 15;
+/// The timed phase is cut into slices of equally many completed ops, in
+/// completion order. Each time metric is the figure of the least disturbed
+/// tenth of the slices: the 10th percentile over slices of a latency, the
+/// 90th of a rate. The host steals vCPU time in bursts that can cover most
+/// of a run, and a stolen slice only ever reads slower.
+constexpr size_t kSlices = 60;
+constexpr double kSliceQuantile = 0.1;
+/// Fewest latencies in a percentile slice, so that a slice's p99 has ten
+/// latencies above it.
+constexpr size_t kMinSliceOps = 1000;
 
-struct SliceStats {
-  double ops_per_s = 0.0;
-  double p50_us[kOpKinds] = {};
-  double p99_us[kOpKinds] = {};
-};
+/// Completed ops per second of each of kSlices slices of all ops.
+std::vector<double> SliceRates(const PhaseResult& r);
 
-/// Slices of `r` in completion order, with each slice's rate and
-/// per-kind percentiles.
-std::vector<SliceStats> Slices(const PhaseResult& r);
+/// The `pct` percentile latency in µs of each slice of the `kind` ops:
+/// kSlices slices, fewer where the kind has under kMinSliceOps ops per
+/// slice, and one when it has under kMinSliceOps in all.
+std::vector<double> SlicePercentiles(const PhaseResult& r, int kind,
+                                     double pct);
 
 /// setup_s is the median of `setups` (seconds per set-up).
 std::vector<Metric> EndToEndMetrics(const PhaseResult& r,

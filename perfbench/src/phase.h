@@ -27,7 +27,7 @@ constexpr int kTraceRounds = 41;
 struct RunConfig {
   uint64_t seed = 1;
   uint64_t objects = 200000;  ///< 1/5 of the paper's 1M
-  uint32_t clients = 4;
+  uint32_t clients = 0;  ///< 0 = the workload's own count
   /// Where the WAL puts its log file.
   std::string scratch_dir = ".bench_tmp";
 };
