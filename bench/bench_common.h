@@ -16,7 +16,6 @@
 #include "harness/cli.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
-#include "ingest/ingest_pool.h"
 #include "storage/async_io.h"
 #include "storage/page_store.h"
 
@@ -30,10 +29,7 @@ struct BenchArgs {
   double query_max_dim = 0.1;
   double buffer_fraction = 0.01;
   size_t buffer_shards = 1;
-  LatchMode latch_mode = LatchMode::kGlobal;
-  ReadMode read_mode = ReadMode::kLatched;
   StorageOptions storage;
-  IngestOptions ingest;
   uint64_t seed = 20030901;
   Distribution distribution = Distribution::kUniform;
   bool csv = false;
@@ -49,45 +45,18 @@ struct BenchArgs {
     return a;
   }
 
-  /// `default_objects` / `default_buffer` let a bench advertise its own
-  /// defaults (fig8 runs denser and unbuffered) while keeping --help in
-  /// sync with what an unflagged run actually uses.
-  static BenchArgs FromCli(const CliArgs& cli,
-                           uint64_t default_objects = 50000,
-                           double default_buffer = 0.01) {
+  static BenchArgs FromCli(const CliArgs& cli) {
     BenchArgs a;
-    a.objects = CliArgs::Scaled(static_cast<uint64_t>(
-        cli.GetInt("objects", static_cast<int64_t>(default_objects))));
+    a.objects = CliArgs::Scaled(
+        static_cast<uint64_t>(cli.GetInt("objects", 50000)));
     a.updates = CliArgs::Scaled(
         static_cast<uint64_t>(cli.GetInt("updates", 50000)));
     a.queries = CliArgs::Scaled(
         static_cast<uint64_t>(cli.GetInt("queries", 1000)));
     a.max_move = cli.GetDouble("max-move", 0.03);
     a.query_max_dim = cli.GetDouble("query-dim", 0.1);
-    a.buffer_fraction = cli.GetDouble("buffer", default_buffer);
+    a.buffer_fraction = cli.GetDouble("buffer", 0.01);
     a.buffer_shards = static_cast<size_t>(cli.GetInt("shards", 1));
-    const std::string lm = cli.GetString("latch-mode", "global");
-    if (!ParseLatchMode(lm, &a.latch_mode)) {
-      std::fprintf(
-          stderr,
-          "unknown --latch-mode '%s' (want global|subtree|coupled)\n",
-          lm.c_str());
-      std::exit(2);
-    }
-    const std::string rm = cli.GetString("read-mode", "latched");
-    if (!ParseReadMode(rm, &a.read_mode)) {
-      std::fprintf(stderr,
-                   "unknown --read-mode '%s' (want latched|optimistic)\n",
-                   rm.c_str());
-      std::exit(2);
-    }
-    const std::string ingest = cli.GetString("ingest", "");
-    if (!ParseIngestSpec(ingest, &a.ingest)) {
-      std::fprintf(stderr,
-                   "bad --ingest '%s' (want workers=N[,batch=K])\n",
-                   ingest.c_str());
-      std::exit(2);
-    }
     const std::string backend = cli.GetString("backend", "mem");
     if (!ParseStorageBackend(backend, &a.storage)) {
       std::fprintf(stderr,
@@ -130,30 +99,10 @@ struct BenchArgs {
     cfg.num_queries = queries;
     cfg.buffer_fraction = buffer_fraction;
     cfg.buffer_shards = buffer_shards;
-    cfg.latch_mode = latch_mode;
-    cfg.read_mode = read_mode;
     cfg.storage = storage;
-    cfg.ingest = ingest;
     return cfg;
   }
 };
-
-/// Latency columns for the throughput tables (mean / p50 / p99 in us):
-/// production traffic cares about the tail more than the mean, so every
-/// bench that prints tps also prints these. Header and cell helpers are
-/// split so sweeps can interleave them with their own columns.
-inline void AddLatencyHeaders(std::vector<std::string>* headers) {
-  headers->push_back("mean(us)");
-  headers->push_back("p50(us)");
-  headers->push_back("p99(us)");
-}
-
-inline void AddLatencyCells(const LatencySummary& lat,
-                            std::vector<std::string>* cells) {
-  cells->push_back(TablePrinter::Fmt(lat.mean_us, 1));
-  cells->push_back(TablePrinter::Fmt(lat.p50_us, 1));
-  cells->push_back(TablePrinter::Fmt(lat.p99_us, 1));
-}
 
 /// Parses a comma-separated count list ("1,4,8") for sweep axes.
 /// Zero and non-numeric tokens are dropped: every sweep axis value is a
@@ -183,19 +132,14 @@ inline void PrintHeader(const std::string& title, const BenchArgs& a) {
     backend += std::string("+") + IoEngineName(a.storage.io_engine) +
                "@qd" + std::to_string(a.storage.io_queue_depth);
   }
-  if (a.ingest.workers > 0) {
-    backend += ", ingest " + IngestSpecString(a.ingest);
-  }
   std::printf(
       "workload: %llu objects, %llu updates, %llu queries, max-move %.3f, "
-      "buffer %.1f%% (%zu shard%s), latch %s, read %s, backend %s, "
-      "dist %s, seed %llu\n\n",
+      "buffer %.1f%% (%zu shard%s), backend %s, dist %s, seed %llu\n\n",
       static_cast<unsigned long long>(a.objects),
       static_cast<unsigned long long>(a.updates),
       static_cast<unsigned long long>(a.queries), a.max_move,
       a.buffer_fraction * 100.0, a.buffer_shards,
-      a.buffer_shards == 1 ? "" : "s", LatchModeName(a.latch_mode),
-      ReadModeName(a.read_mode), backend.c_str(),
+      a.buffer_shards == 1 ? "" : "s", backend.c_str(),
       DistributionName(a.distribution),
       static_cast<unsigned long long>(a.seed));
 }

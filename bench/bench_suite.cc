@@ -1,32 +1,38 @@
 // Declarative scenario-suite runner: loads every *.scn spec in --suite
-// (default bench/suite next to the binary's source tree), runs each
-// through RunScenario, prints one table row per scenario, and — with
-// --json — emits the canonical BENCH_suite.json that
-// scripts/bench_compare.py gates CI against (see bench/suite/baselines/).
+// (default bench/suite next to the binary's source tree), expands the
+// list-valued keys of each into its grid cells, runs every cell through
+// RunScenario, prints one table row per cell, and — with --json — emits
+// the canonical BENCH_suite.json that scripts/bench_compare.py gates CI
+// against (see bench/suite/baselines/). bench/grids/ holds the sweeps:
+// Figure 8, the latch/read/shard sweeps, batched ingestion and the
+// recorded trajectory.
 //
 // Modes:
-//   --suite DIR    run the spec files (the default mode)
+//   --suite DIR    run the spec files in DIR
 //   --only SUB     filter scenarios whose name contains SUB
 //   --list         print the loaded scenario names and exit
 //   --smoke        CI sizing: cap objects/threads/ops/duration per spec
 //                  (baselines for the gate are recorded with --smoke)
-//   --grid         ignore the spec dir; run the recorded-trajectory grid
-//                  (strategy x latch/read x backend) at --objects scale
+//
+// BURTREE_SCALE multiplies every spec's objects (before --smoke caps).
 //
 // Exit codes: 0 = all scenarios ran and every expected-invariant check
 // passed; 1 = a run broke (hard error); 3 = runs finished but at least
 // one declared check failed (the JSON still carries every row, so the
 // regression gate can show which).
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+#include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
+#include "harness/cli.h"
 #include "harness/scenario.h"
+#include "harness/table_printer.h"
 
 using namespace burtree;
-using namespace burtree::bench;
 
 namespace {
 
@@ -46,70 +52,6 @@ void ApplySmoke(ScenarioSpec* spec) {
   spec->expect_min_tps = 0.0;
 }
 
-// The recorded-trajectory grid: every strategy against every latch/read
-// combination against every backend. The read path only forks in
-// coupled mode (optimistic reads are the coupled snapshot descent), so
-// the latch axis enumerates the four distinct concurrency paths rather
-// than a redundant 3x2.
-std::vector<ScenarioSpec> MakeGrid(const BenchArgs& args, uint32_t threads,
-                                   uint64_t ops_per_thread,
-                                   bool bulk_build) {
-  struct LatchCell {
-    const char* tag;
-    LatchMode latch;
-    ReadMode read;
-  };
-  static constexpr LatchCell kLatch[] = {
-      {"global", LatchMode::kGlobal, ReadMode::kLatched},
-      {"subtree", LatchMode::kSubtree, ReadMode::kLatched},
-      {"coupled", LatchMode::kCoupled, ReadMode::kLatched},
-      {"coupled_opt", LatchMode::kCoupled, ReadMode::kOptimistic},
-  };
-  static constexpr StrategyKind kStrategies[] = {
-      StrategyKind::kTopDown, StrategyKind::kLocalizedBottomUp,
-      StrategyKind::kGeneralizedBottomUp};
-  static constexpr const char* kBackends[] = {"mem", "file", "file+wal"};
-
-  std::vector<ScenarioSpec> grid;
-  for (StrategyKind strategy : kStrategies) {
-    for (const LatchCell& lc : kLatch) {
-      for (const char* backend : kBackends) {
-        ScenarioSpec spec;
-        spec.name = std::string("grid_") + StrategyName(strategy) + "_" +
-                    lc.tag + "_" +
-                    (std::string(backend) == "file+wal" ? "filewal"
-                                                        : backend);
-        spec.base = args.BaseConfig(strategy);
-        // Paper-scale grids (1M objects) build via STR bulk load; the
-        // post-build dynamics are what the trajectory records.
-        spec.base.bulk_build = bulk_build;
-        spec.base.latch_mode = lc.latch;
-        spec.base.read_mode = lc.read;
-        spec.base.storage = args.storage;
-        if (std::string(backend) == "mem") {
-          spec.base.storage.backend = StorageBackend::kMem;
-          spec.base.storage.wal.enabled = false;
-        } else {
-          spec.base.storage.backend = StorageBackend::kFile;
-          spec.base.storage.wal.enabled =
-              std::string(backend) == "file+wal";
-        }
-        spec.threads = threads;
-        spec.ops_per_thread = ops_per_thread;
-        // The paper's mixed regime: update-heavy with a live query and
-        // maintenance stream, so every concurrency path is exercised.
-        spec.update_pct = 60;
-        spec.insert_pct = 5;
-        spec.delete_pct = 5;
-        spec.knn_pct = 5;
-        spec.query_max_dim = 0.01;
-        grid.push_back(std::move(spec));
-      }
-    }
-  }
-  return grid;
-}
-
 void EmitJson(const std::string& path, const std::string& suite,
               bool smoke, const std::vector<ScenarioResult>& results) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -117,16 +59,15 @@ void EmitJson(const std::string& path, const std::string& suite,
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  const char* scale = std::getenv("BURTREE_SCALE");
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_suite\",\n"
                "  \"suite\": \"%s\",\n"
                "  \"smoke\": %s,\n"
-               "  \"scale\": \"%s\",\n"
+               "  \"scale\": \"%g\",\n"
                "  \"scenarios\": [\n",
                suite.c_str(), smoke ? "true" : "false",
-               scale != nullptr ? scale : "1");
+               CliArgs::ScaleFactor());
   for (size_t i = 0; i < results.size(); ++i) {
     const ScenarioResult& r = results[i];
     std::string failures;
@@ -155,10 +96,16 @@ void EmitJson(const std::string& path, const std::string& suite,
         "     \"escalated_updates\": %" PRIu64
         ", \"escalated_queries\": %" PRIu64 ", \"compound_smos\": %" PRIu64
         ", \"descent_restarts\": %" PRIu64 ",\n"
-        "     \"optimistic_queries\": %" PRIu64
-        ", \"optimistic_fallbacks\": %" PRIu64 ",\n"
+        "     \"coupled_queries\": %" PRIu64
+        ", \"optimistic_queries\": %" PRIu64
+        ", \"optimistic_fallbacks\": %" PRIu64
+        ", \"pruned_queries\": %" PRIu64
+        ", \"coupled_reinserts\": %" PRIu64 ",\n"
+        "     \"batched_updates\": %" PRIu64 ", \"batch_pages\": %" PRIu64
+        ", \"batch_fallbacks\": %" PRIu64 ",\n"
         "     \"ingest_batches\": %" PRIu64
-        ", \"ingest_batched_ops\": %" PRIu64 ",\n"
+        ", \"ingest_batched_ops\": %" PRIu64
+        ", \"ingest_max_batch\": %" PRIu64 ",\n"
         "     \"wal_records\": %" PRIu64 ", \"wal_fsyncs\": %" PRIu64
         ", \"wal_appended_bytes\": %" PRIu64
         ", \"wal_checkpoints\": %" PRIu64 ",\n"
@@ -172,9 +119,12 @@ void EmitJson(const std::string& path, const std::string& suite,
         r.lock_stats.waits, r.lock_stats.aborts,
         r.latch_stats.escalated_updates, r.latch_stats.escalated_queries,
         r.latch_stats.compound_smos, r.latch_stats.descent_restarts,
-        r.latch_stats.optimistic_queries,
-        r.latch_stats.optimistic_fallbacks, r.ingest_stats.batches,
-        r.ingest_stats.batched_ops, r.wal_stats.records, r.wal_stats.fsyncs,
+        r.latch_stats.coupled_queries, r.latch_stats.optimistic_queries,
+        r.latch_stats.optimistic_fallbacks, r.latch_stats.pruned_queries,
+        r.latch_stats.coupled_reinserts, r.latch_stats.batched_updates,
+        r.latch_stats.batch_pages, r.latch_stats.batch_fallbacks,
+        r.ingest_stats.batches, r.ingest_stats.batched_ops,
+        r.ingest_stats.max_batch, r.wal_stats.records, r.wal_stats.fsyncs,
         r.wal_stats.appended_bytes, r.wal_stats.checkpoints,
         r.final_objects, r.expected_objects, r.check_failures.size(),
         failures.c_str(), i + 1 < results.size() ? "," : "");
@@ -188,30 +138,22 @@ void EmitJson(const std::string& path, const std::string& suite,
 
 int main(int argc, char** argv) {
   CliArgs cli(argc, argv);
-  BenchArgs args = BenchArgs::FromCli(cli);
   const std::string suite_dir = cli.GetString("suite", "bench/suite");
   const std::string only = cli.GetString("only", "");
   const std::string json_path = cli.GetString("json", "");
   const bool smoke = cli.GetBool("smoke", false);
-  const bool grid = cli.GetBool("grid", false);
-  const bool bulk_build = cli.GetBool("bulk-build", false);
   const bool list = cli.GetBool("list", false);
-  const uint32_t threads = static_cast<uint32_t>(cli.GetInt("threads", 4));
-  const uint64_t ops_per_thread =
-      CliArgs::Scaled(static_cast<uint64_t>(cli.GetInt("ops", 1000)));
-  cli.ExitIfHelpRequested(argv[0], BenchArgs::kScaleHelp);
+  const bool csv = cli.GetBool("csv", false);
+  cli.ExitIfHelpRequested(
+      argv[0], "BURTREE_SCALE=<f> multiplies every spec's objects "
+               "(paper scale: 20).");
 
-  std::vector<ScenarioSpec> specs;
-  if (grid) {
-    specs = MakeGrid(args, threads, ops_per_thread, bulk_build);
-  } else {
-    auto loaded = LoadScenarioDir(suite_dir);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    specs = std::move(loaded).value();
+  auto loaded = LoadScenarioDir(suite_dir);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+    return 1;
   }
+  std::vector<ScenarioSpec> specs = std::move(loaded).value();
   if (!only.empty()) {
     std::vector<ScenarioSpec> kept;
     for (auto& s : specs) {
@@ -226,8 +168,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (smoke) {
-    for (auto& s : specs) ApplySmoke(&s);
+  for (auto& s : specs) {
+    s.base.workload.num_objects = std::max<uint64_t>(
+        1, CliArgs::Scaled(s.base.workload.num_objects));
+    if (smoke) ApplySmoke(&s);
   }
   if (list) {
     for (const auto& s : specs) std::printf("%s\n", s.name.c_str());
@@ -235,9 +179,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("=== Scenario suite: %s (%zu scenario%s%s) ===\n\n",
-              grid ? "trajectory grid" : suite_dir.c_str(), specs.size(),
+              suite_dir.c_str(), specs.size(),
               specs.size() == 1 ? "" : "s", smoke ? ", smoke" : "");
-
   TablePrinter table({"scenario", "ops", "tps", "p50(us)", "p99(us)",
                       "io r/w", "hit%", "checks"});
   std::vector<ScenarioResult> results;
@@ -266,14 +209,14 @@ int main(int argc, char** argv) {
                    failure.c_str());
     }
   }
-  if (args.csv) {
+  if (csv) {
     table.PrintCsv(std::cout);
   } else {
     table.Print(std::cout);
   }
 
   if (!json_path.empty()) {
-    EmitJson(json_path, grid ? "grid" : suite_dir, smoke, results);
+    EmitJson(json_path, suite_dir, smoke, results);
   }
   if (failed_checks > 0) {
     std::fprintf(stderr, "\n%zu expected-invariant check%s failed\n",

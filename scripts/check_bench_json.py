@@ -26,10 +26,13 @@ SCHEMAS = {
             "ops_knn", "mean_us", "p50_us", "p99_us", "io_reads",
             "io_writes", "hit_rate", "dgl_acquisitions", "dgl_waits",
             "dgl_aborts", "escalated_updates", "escalated_queries",
-            "compound_smos", "descent_restarts", "optimistic_queries",
-            "optimistic_fallbacks", "ingest_batches", "ingest_batched_ops",
-            "wal_records", "wal_fsyncs", "wal_appended_bytes",
-            "wal_checkpoints", "final_objects", "expected_objects",
+            "compound_smos", "descent_restarts", "coupled_queries",
+            "optimistic_queries", "optimistic_fallbacks", "pruned_queries",
+            "coupled_reinserts", "batched_updates", "batch_pages",
+            "batch_fallbacks", "ingest_batches", "ingest_batched_ops",
+            "ingest_max_batch", "wal_records", "wal_fsyncs",
+            "wal_appended_bytes", "wal_checkpoints", "final_objects",
+            "expected_objects",
             "checks_failed", "check_failures",
         ],
     ),
@@ -41,28 +44,11 @@ SCHEMAS = {
          "wal_delta_images", "wal_fsyncs", "wal_appended_bytes",
          "wal_checkpoints", "wal_max_group_bytes"],
     ),
-    "bench_batch_ingest": (
-        ["bench", "strategy", "update_pct", "objects", "ops_per_client",
-         "io_latency_us", "backend", "wal"],
-        "rows",
-        ["clients", "workers", "batch", "tps", "total_ops", "mean_us",
-         "p50_us", "p99_us", "dgl_acquisitions", "batched_updates",
-         "batch_pages", "batch_fallbacks", "ingest_batches",
-         "ingest_max_batch"],
-    ),
     "bench_async_io": (
         ["bench", "pages", "page_size", "threads", "io_latency_us"],
         "rows",
         ["engine", "engine_ran", "queue_depth", "tps", "mean_us",
          "p50_us", "p99_us", "prefetched", "speedup_vs_sync"],
-    ),
-    "bench_fig8_throughput": (
-        ["bench", "sweep", "strategy", "latch_mode", "update_pct",
-         "objects", "ops_per_thread", "io_latency_us"],
-        "rows",
-        ["read_mode", "threads", "tps", "coupled_queries",
-         "optimistic_queries", "optimistic_fallbacks", "pruned_queries",
-         "descent_restarts", "coupled_reinserts"],
     ),
 }
 

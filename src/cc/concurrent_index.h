@@ -130,7 +130,7 @@ struct LatchModeStats {
   /// Latch-coupled descent attempts that hit a try-latch collision and
   /// restarted (updates, inserts, and queries combined).
   uint64_t descent_restarts = 0;
-  /// Coupled mode, --read-mode optimistic: queries completed through the
+  /// Coupled mode, optimistic read mode: queries completed through the
   /// version-validated snapshot descent.
   uint64_t optimistic_queries = 0;
   /// Optimistic queries whose restart budget starved and that fell back

@@ -192,9 +192,9 @@ struct LbuOptions {
 /// per-shard MPSC queues; a fixed worker pool drains each queue into
 /// batches and executes them through ConcurrentIndex::UpdateBatch /
 /// InsertBatch — one DGL acquisition per batch and one page-latch +
-/// WAL round trip per target leaf instead of per op. Threads from the
-/// benches' `--ingest workers=N,batch=K` flag through ExperimentConfig
-/// and IndexSystemOptions.
+/// WAL round trip per target leaf instead of per op. Threads from a
+/// scenario spec's `ingest: workers=N,batch=K` key through
+/// ExperimentConfig to the IngestPool that RunScenario builds.
 struct IngestOptions {
   /// Worker threads draining the queues; 0 disables the pool entirely
   /// (thread-per-client calls the per-op path directly).

@@ -1,10 +1,14 @@
 // Strict decimal parsing for CLI values. The bare strtoull it replaces
 // accepted signs and leading whitespace and silently wrapped negatives
 // ("--ingest workers=-1" became 4294967295 workers); every flag parse
-// site routes through here instead.
+// site routes through here instead. ParseDouble does the same for the
+// atof/strtod calls that ran "6O" as 6 and "0,03" as 0.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 namespace burtree {
@@ -44,6 +48,29 @@ inline bool ParseInt64(const std::string& s, int64_t* out) {
   } else {
     *out = static_cast<int64_t>(mag);
   }
+  return true;
+}
+
+/// Parses a finite decimal number: an optional sign, digits with an
+/// optional '.', and an optional exponent ("0.03", "-2", "1e-3"). The
+/// whole string must be consumed, so whitespace, trailing junk, a
+/// decimal comma, hex, "inf"/"nan" and out-of-range values all fail.
+/// Returns false (leaving `out` untouched) on malformed input.
+inline bool ParseDouble(const std::string& s, double* out) {
+  if (s.empty()) return false;
+  for (char c : s) {
+    if ((c < '0' || c > '9') && c != '.' && c != '-' && c != '+' &&
+        c != 'e' && c != 'E') {
+      return false;
+    }
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size() || errno == ERANGE || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
   return true;
 }
 

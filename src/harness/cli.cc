@@ -78,7 +78,14 @@ int64_t CliArgs::GetInt(const std::string& key, int64_t def) const {
 double CliArgs::GetDouble(const std::string& key, double def) const {
   Note(key, std::to_string(def));
   auto it = kv_.find(key);
-  return it == kv_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == kv_.end()) return def;
+  // Strict like GetInt: strtod ran "--buffer abc" as a 0% buffer.
+  double v = 0.0;
+  if (!ParseDouble(it->second, &v)) {
+    std::cerr << "bad number '" << it->second << "' for --" << key << "\n";
+    std::exit(2);
+  }
+  return v;
 }
 
 std::string CliArgs::GetString(const std::string& key,
@@ -98,8 +105,13 @@ bool CliArgs::GetBool(const std::string& key, bool def) const {
 double CliArgs::ScaleFactor() {
   const char* env = std::getenv("BURTREE_SCALE");
   if (env == nullptr) return 1.0;
-  const double v = std::strtod(env, nullptr);
-  return v > 0.0 ? v : 1.0;
+  double v = 0.0;
+  if (!ParseDouble(env, &v) || v <= 0.0) {
+    std::cerr << "bad BURTREE_SCALE '" << env
+              << "' (want a positive number)\n";
+    std::exit(2);
+  }
+  return v;
 }
 
 uint64_t CliArgs::Scaled(uint64_t base) {

@@ -43,7 +43,8 @@ class CliArgs {
                            const char* footer = nullptr) const;
 
   /// BURTREE_SCALE env var (default 1.0) multiplied onto workload sizes:
-  /// `ScaledCount(100000)` with BURTREE_SCALE=10 reproduces paper scale.
+  /// `Scaled(100000)` with BURTREE_SCALE=10 reproduces paper scale. A
+  /// value that is not a positive number exits 2, like a bad flag.
   static double ScaleFactor();
   static uint64_t Scaled(uint64_t base);
 

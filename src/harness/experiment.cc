@@ -1,7 +1,5 @@
 #include "harness/experiment.h"
 
-#include <thread>
-
 #include "common/metrics.h"
 
 namespace burtree {
@@ -25,7 +23,6 @@ StrategyFixture MakeFixture(const ExperimentConfig& config) {
   opts.hash.page_size = config.page_size;
   opts.hash.buffer_shards = config.buffer_shards;
   opts.hash.storage = config.storage;
-  opts.ingest = config.ingest;
   // The WAL (and a persistent file path) belongs to the tree store only:
   // the hash index is rebuildable from the tree, so its file stays a
   // scratch file and its pool never holds pages for durability.
@@ -158,134 +155,6 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     BURTREE_RETURN_IF_ERROR(sys.tree().Validate(!config.bulk_build));
   }
   res.tree_nodes = 0;  // filled only on demand (walks the tree)
-  return res;
-}
-
-StatusOr<ThroughputResult> RunThroughput(const ThroughputConfig& config) {
-  WorkloadGenerator workload(config.base.workload);
-  StrategyFixture fx = MakeFixture(config.base);
-  BURTREE_RETURN_IF_ERROR(BuildIndex(config.base, workload, &fx));
-
-  // The latch mode has two homes: ExperimentConfig (the bench-facing
-  // knob next to --shards) and ConcurrencyOptions (the ConcurrentIndex
-  // knob tests set directly). Honor whichever asks for subtree latching
-  // so neither is silently downgraded to the global default.
-  ConcurrencyOptions copts = config.concurrency;
-  if (config.base.latch_mode != LatchMode::kGlobal) {
-    copts.latch_mode = config.base.latch_mode;
-  }
-  if (config.base.read_mode != ReadMode::kLatched) {
-    copts.read_mode = config.base.read_mode;
-  }
-  ConcurrentIndex index(fx.system.get(), fx.strategy.get(),
-                        fx.executor.get(), copts);
-
-  // Ingest mode: clients become submitters into the pool's MPSC queues
-  // (closed-loop submit-and-wait), the pool's workers group-execute the
-  // batches. Queries stay direct — only the write path batches.
-  std::unique_ptr<IngestPool> ingest;
-  if (config.base.ingest.workers > 0) {
-    ingest = std::make_unique<IngestPool>(&index, config.base.ingest);
-  }
-
-  const uint32_t threads = config.threads;
-  const uint64_t objects = config.base.workload.num_objects;
-  std::vector<std::thread> pool;
-  std::atomic<uint64_t> completed{0};
-  std::atomic<bool> failed{false};
-  // Per-client latency samples (ns), merged after the join; each client
-  // times the full op including DGL-abort retries and, in ingest mode,
-  // the queue wait — what a caller actually observes.
-  std::vector<std::vector<uint64_t>> latencies(threads);
-
-  Stopwatch sw;
-  for (uint32_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t]() {
-      Rng rng(config.base.workload.seed * 7919 + t);
-      const uint64_t lo = objects * t / threads;
-      const uint64_t hi = objects * (t + 1) / threads;
-      // Thread-private view of its objects' positions (threads own
-      // disjoint oid ranges, so there are no position races).
-      std::vector<Point> pos(
-          workload.initial_positions().begin() + static_cast<long>(lo),
-          workload.initial_positions().begin() + static_cast<long>(hi));
-      std::vector<uint64_t>& lat = latencies[t];
-      lat.reserve(config.ops_per_thread);
-      using Clock = std::chrono::steady_clock;
-      for (uint64_t i = 0; i < config.ops_per_thread && !failed; ++i) {
-        const Clock::time_point op_start = Clock::now();
-        if (rng.NextBool(config.update_fraction) && hi > lo) {
-          const uint64_t k = rng.NextBelow(hi - lo);
-          const ObjectId oid = lo + k;
-          const Point from = pos[k];
-          // Same movement model as the single-threaded generator.
-          const double d =
-              rng.NextDouble() * config.base.workload.max_move_distance;
-          const double a = rng.NextDouble() * 2.0 * M_PI;
-          Point to{from.x + d * std::cos(a), from.y + d * std::sin(a)};
-          to.x = std::clamp(to.x < 0 ? -to.x : (to.x > 1 ? 2 - to.x : to.x),
-                            0.0, 1.0);
-          to.y = std::clamp(to.y < 0 ? -to.y : (to.y > 1 ? 2 - to.y : to.y),
-                            0.0, 1.0);
-          // A residual wait-die Abort can escape the DGL retry budget
-          // under a pathologically hot granule; the abort happens before
-          // any tree mutation, so the op is safely re-runnable — retry
-          // here instead of failing the whole run. (In ingest mode the
-          // pool's workers retry aborted batches internally.)
-          Status st = ingest != nullptr ? ingest->Update(oid, from, to)
-                                        : index.Update(oid, from, to);
-          while (st.code() == StatusCode::kAborted && !failed) {
-            std::this_thread::yield();
-            st = ingest != nullptr ? ingest->Update(oid, from, to)
-                                   : index.Update(oid, from, to);
-          }
-          if (!st.ok()) {
-            failed = true;
-            break;
-          }
-          pos[k] = to;
-        } else {
-          const Rect w =
-              WorkloadGenerator::QueryWindowFrom(rng, config.query_max_dim);
-          StatusOr<size_t> qr = index.Query(w);
-          while (qr.status().code() == StatusCode::kAborted && !failed) {
-            std::this_thread::yield();
-            qr = index.Query(w);
-          }
-          if (!qr.ok()) {
-            failed = true;
-            break;
-          }
-        }
-        lat.push_back(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - op_start)
-                .count()));
-        completed.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-  const double elapsed = sw.ElapsedSeconds();
-
-  ThroughputResult res;
-  if (ingest != nullptr) {
-    ingest->Shutdown();
-    res.ingest_stats = ingest->stats();
-  }
-  if (failed) return Status::Aborted("throughput worker failed");
-
-  res.total_ops = completed.load();
-  res.elapsed_s = elapsed;
-  res.tps = elapsed > 0 ? static_cast<double>(res.total_ops) / elapsed : 0;
-  res.lock_stats = index.lock_manager().stats();
-  res.latch_stats = index.latch_stats();
-  std::vector<uint64_t> all;
-  all.reserve(res.total_ops);
-  for (auto& v : latencies) {
-    all.insert(all.end(), v.begin(), v.end());
-  }
-  res.latency = SummarizeLatencyNs(all);
   return res;
 }
 

@@ -1,8 +1,9 @@
 // Experiment runner reproducing the paper's §5 pipeline: build the index
 // by insertion (GSTD initial distribution), replay U updates, then run Q
 // window queries on the resulting tree, reporting average disk I/O per
-// update / query and CPU seconds — the exact series of Figures 5-7 — and
-// the 50-thread DGL throughput of Figure 8.
+// update / query and CPU seconds — the exact series of Figures 5-7. The
+// concurrent Figure-8 runs go through RunScenario (harness/scenario.h),
+// which reuses MakeFixture and BuildIndex.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +12,6 @@
 
 #include "cc/concurrent_index.h"
 #include "common/metrics.h"
-#include "ingest/ingest_pool.h"
 #include "update/gbu.h"
 #include "update/index_system.h"
 #include "update/lbu.h"
@@ -48,21 +48,21 @@ struct ExperimentConfig {
   /// tree-wide latch, kSubtree latches per leaf/parent subtree with
   /// tree-wide escalation, kCoupled replaces escalation with top-down
   /// latch-coupled descents (no tree-wide latch at all). Ignored by the
-  /// single-threaded pipeline; RunThroughput copies it into the
+  /// single-threaded pipeline; RunScenario copies it into the
   /// ConcurrencyOptions it builds the ConcurrentIndex with.
   LatchMode latch_mode = LatchMode::kGlobal;
-  /// Coupled-mode query read path (`--read-mode latched|optimistic` on
-  /// the benches): kOptimistic replaces the S-coupled query descent with
-  /// version-validated snapshot reads. Ignored outside kCoupled;
-  /// RunThroughput copies it into ConcurrencyOptions like latch_mode.
+  /// Coupled-mode query read path (`read_mode: latched|optimistic` in a
+  /// scenario spec): kOptimistic replaces the S-coupled query descent
+  /// with version-validated snapshot reads. Ignored outside kCoupled;
+  /// RunScenario copies it into ConcurrencyOptions like latch_mode.
   ReadMode read_mode = ReadMode::kLatched;
-  /// Batched ingestion front-end (`--ingest workers=N,batch=K` on the
-  /// benches): workers > 0 makes RunThroughput route client updates and
-  /// inserts through an IngestPool over per-shard MPSC queues —
+  /// Batched ingestion front-end (`ingest: workers=N,batch=K` in a
+  /// scenario spec): workers > 0 makes RunScenario route client updates
+  /// and inserts through an IngestPool over per-shard MPSC queues —
   /// clients become submitters blocking on UpdateHandles while the
   /// worker pool group-executes batches — instead of the
-  /// thread-per-client per-op calls. Copied into IndexSystemOptions by
-  /// MakeFixture so one options struct describes the deployment.
+  /// thread-per-client per-op calls. Ignored by the single-threaded
+  /// pipeline.
   IngestOptions ingest;
   size_t page_size = 1024;
   SplitAlgorithm split = SplitAlgorithm::kQuadratic;
@@ -114,31 +114,5 @@ Status BuildIndex(const ExperimentConfig& config,
 
 /// Full single-threaded pipeline: build -> updates -> queries.
 StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config);
-
-struct ThroughputConfig {
-  ExperimentConfig base;
-  uint32_t threads = 50;            ///< paper: 50
-  double update_fraction = 0.5;     ///< share of operations that update
-  uint64_t ops_per_thread = 200;
-  double query_max_dim = 0.01;      ///< paper §5.4 uses [0, 0.01] windows
-  ConcurrencyOptions concurrency;
-};
-
-struct ThroughputResult {
-  double tps = 0.0;
-  uint64_t total_ops = 0;
-  double elapsed_s = 0.0;
-  LockStats lock_stats;
-  LatchModeStats latch_stats;  ///< subtree/coupled-mode escalation counters
-  /// Client-observed per-op completion latency (both direct and ingest
-  /// modes; includes DGL-abort retries — what a caller actually waits).
-  LatencySummary latency;
-  /// Ingest-pool traffic; zeroed when ingest.workers == 0.
-  IngestStats ingest_stats;
-};
-
-/// Figure-8 style run: N threads over a DGL-locked ConcurrentIndex with
-/// the given update/query mix.
-StatusOr<ThroughputResult> RunThroughput(const ThroughputConfig& config);
 
 }  // namespace burtree

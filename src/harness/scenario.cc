@@ -6,9 +6,13 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 
+#include "cc/backoff.h"
 #include "common/parse.h"
 #include "ingest/ingest_pool.h"
 #include "storage/async_io.h"
@@ -48,15 +52,21 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+/// Drops a line's `#` comment and surrounding blanks.
+std::string StripLine(std::string line) {
+  const size_t hash = line.find('#');
+  if (hash != std::string::npos) line.resize(hash);
+  return Trim(line);
+}
+
 }  // namespace
 
 StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
                                      const std::string& default_name) {
   ScenarioSpec spec;
   spec.name = default_name;
-  // Scenario defaults diverge from the Figure-8 bench defaults where a
-  // suite run wants them: no simulated I/O latency (real backends carry
-  // their own), modest per-op windows.
+  // The suite's population and seed; every other key defaults per
+  // ScenarioSpec / ExperimentConfig (no simulated I/O latency, 1% buffer).
   spec.base.workload.num_objects = 50000;
   spec.base.workload.seed = 20030901;
 
@@ -69,9 +79,7 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
   };
   while (std::getline(in, line)) {
     ++lineno;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    line = Trim(line);
+    line = StripLine(line);
     if (line.empty()) continue;
     const size_t colon = line.find(':');
     if (colon == std::string::npos) {
@@ -90,7 +98,41 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
       return err("bad unsigned integer '" + value + "' for '" + key + "'");
     };
 
-    bool bool_v = false;
+    // Real-valued keys parse strictly too: atof ran "6O" as 6 and
+    // "0,03" as 0.
+    const std::pair<const char*, double*> real_keys[] = {
+        {"max_move", &spec.base.workload.max_move_distance},
+        {"buffer", &spec.base.buffer_fraction},
+        {"duration_s", &spec.duration_s},
+        {"update_pct", &spec.update_pct},
+        {"insert_pct", &spec.insert_pct},
+        {"delete_pct", &spec.delete_pct},
+        {"knn_pct", &spec.knn_pct},
+        {"query_dim", &spec.query_max_dim},
+        {"hot_fraction", &spec.skew.hot_fraction},
+        {"hot_prob", &spec.skew.hot_prob},
+        {"expect_min_tps", &spec.expect_min_tps},
+    };
+    const auto real = std::find_if(
+        std::begin(real_keys), std::end(real_keys),
+        [&](const auto& kv) { return key == kv.first; });
+    if (real != std::end(real_keys)) {
+      double v = 0.0;
+      if (!ParseDouble(value, &v)) {
+        return err("bad number '" + value + "' for '" + key + "'");
+      }
+      // SkewPicker CHECKs these ranges; reject them here with a line
+      // number instead of aborting the run.
+      if ((key == "hot_fraction" && !(v > 0.0 && v <= 1.0)) ||
+          (key == "hot_prob" && !(v >= 0.0 && v <= 1.0))) {
+        return err("'" + key + "' out of range: " + value +
+                   (key == "hot_fraction" ? " (want (0, 1])"
+                                          : " (want [0, 1])"));
+      }
+      *real->second = v;
+      continue;
+    }
+
     if (key == "name") {
       spec.name = value;
     } else if (key == "strategy") {
@@ -137,13 +179,9 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
       if (!ParseDistribution(value, &spec.base.workload.distribution)) {
         return err("unknown distribution '" + value + "'");
       }
-    } else if (key == "max_move") {
-      spec.base.workload.max_move_distance = std::atof(value.c_str());
     } else if (key == "seed") {
       if (!parse_u64()) return bad_u64();
       spec.base.workload.seed = u64_v;
-    } else if (key == "buffer") {
-      spec.base.buffer_fraction = std::atof(value.c_str());
     } else if (key == "shards") {
       if (!parse_u64()) return bad_u64();
       spec.base.buffer_shards = static_cast<size_t>(u64_v);
@@ -169,30 +207,14 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
     } else if (key == "ops_per_thread") {
       if (!parse_u64()) return bad_u64();
       spec.ops_per_thread = u64_v;
-    } else if (key == "duration_s") {
-      spec.duration_s = std::atof(value.c_str());
-    } else if (key == "update_pct") {
-      spec.update_pct = std::atof(value.c_str());
-    } else if (key == "insert_pct") {
-      spec.insert_pct = std::atof(value.c_str());
-    } else if (key == "delete_pct") {
-      spec.delete_pct = std::atof(value.c_str());
-    } else if (key == "knn_pct") {
-      spec.knn_pct = std::atof(value.c_str());
     } else if (key == "knn_k") {
       if (!parse_u64()) return bad_u64();
       spec.knn_k = static_cast<size_t>(u64_v);
-    } else if (key == "query_dim") {
-      spec.query_max_dim = std::atof(value.c_str());
     } else if (key == "skew") {
       if (!ParseSkewKind(value, &spec.skew.kind)) {
         return err("unknown skew '" + value +
                    "' (want none|hotspot|flashcrowd)");
       }
-    } else if (key == "hot_fraction") {
-      spec.skew.hot_fraction = std::atof(value.c_str());
-    } else if (key == "hot_prob") {
-      spec.skew.hot_prob = std::atof(value.c_str());
     } else if (key == "flash_interval") {
       if (!parse_u64()) return bad_u64();
       spec.skew.flash_interval = u64_v;
@@ -212,12 +234,9 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
         return err("bad bool '" + value + "'");
       }
     } else if (key == "expect_zero_escalations") {
-      if (!ParseBool(value, &bool_v)) {
+      if (!ParseBool(value, &spec.expect_zero_escalations)) {
         return err("bad bool '" + value + "'");
       }
-      spec.expect_zero_escalations = bool_v;
-    } else if (key == "expect_min_tps") {
-      spec.expect_min_tps = std::atof(value.c_str());
     } else {
       return err("unknown key '" + key + "'");
     }
@@ -249,15 +268,88 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
   return spec;
 }
 
-StatusOr<ScenarioSpec> LoadScenarioFile(const std::string& path) {
+StatusOr<std::vector<ScenarioSpec>> ParseScenarioGrid(
+    const std::string& text, const std::string& default_name) {
+  // One axis per list-valued line: the line index and its values.
+  struct Axis {
+    size_t line;
+    std::string key;
+    std::vector<std::string> values;
+  };
+  std::vector<std::string> lines;
+  std::vector<Axis> axes;
+  std::istringstream in(text);
+  std::string raw;
+  while (std::getline(in, raw)) {
+    lines.push_back(raw);
+    const std::string line = StripLine(raw);
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;  // ParseScenario reports it
+    const std::string value = line.substr(colon + 1);
+    if (value.find('|') == std::string::npos) continue;
+    Axis axis{lines.size() - 1, Trim(line.substr(0, colon)), {}};
+    auto err = [&](const std::string& what) {
+      return Status::InvalidArgument("scenario '" + default_name +
+                                     "' line " +
+                                     std::to_string(lines.size()) + ": " +
+                                     what);
+    };
+    if (axis.key == "name") {
+      return err("'name' cannot take a list: every cell is named from it");
+    }
+    std::istringstream elems(value);
+    std::string elem;
+    while (std::getline(elems, elem, '|')) {
+      elem = Trim(elem);
+      if (elem.empty()) return err("empty list element in '" + line + "'");
+      if (std::find(axis.values.begin(), axis.values.end(), elem) !=
+          axis.values.end()) {
+        return err("duplicate list element '" + elem + "'");
+      }
+      axis.values.push_back(elem);
+    }
+    if (value.back() == '|') {
+      return err("empty list element in '" + line + "'");
+    }
+    axes.push_back(std::move(axis));
+  }
+
+  // Cross product, first listed key slowest. Each cell rewrites only its
+  // list lines, so ParseScenario's line numbers still match the file.
+  size_t cells = 1;
+  for (const Axis& axis : axes) cells *= axis.values.size();
+  std::vector<ScenarioSpec> specs;
+  for (size_t cell = 0; cell < cells; ++cell) {
+    std::vector<std::string> cell_lines = lines;
+    std::string suffix;
+    size_t rest = cell;
+    for (size_t a = axes.size(); a-- > 0;) {
+      const Axis& axis = axes[a];
+      const std::string& v = axis.values[rest % axis.values.size()];
+      rest /= axis.values.size();
+      cell_lines[axis.line] = axis.key + ": " + v;
+      suffix = "/" + axis.key + "=" + v + suffix;
+    }
+    std::string cell_text;
+    for (const std::string& l : cell_lines) cell_text += l + "\n";
+    auto spec = ParseScenario(cell_text, default_name);
+    BURTREE_RETURN_IF_ERROR(spec.status());
+    specs.push_back(std::move(spec).value());
+    specs.back().name += suffix;
+  }
+  return specs;
+}
+
+StatusOr<std::vector<ScenarioSpec>> LoadScenarioFile(
+    const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) {
     return Status::InvalidArgument("cannot open scenario file " + path);
   }
   std::stringstream buf;
   buf << in.rdbuf();
-  return ParseScenario(buf.str(),
-                       std::filesystem::path(path).stem().string());
+  return ParseScenarioGrid(buf.str(),
+                           std::filesystem::path(path).stem().string());
 }
 
 StatusOr<std::vector<ScenarioSpec>> LoadScenarioDir(const std::string& dir) {
@@ -277,10 +369,19 @@ StatusOr<std::vector<ScenarioSpec>> LoadScenarioDir(const std::string& dir) {
     return Status::InvalidArgument("no *.scn files in " + dir);
   }
   std::vector<ScenarioSpec> specs;
+  std::set<std::string> names;
   for (const std::string& f : files) {
-    auto spec = LoadScenarioFile(f);
-    BURTREE_RETURN_IF_ERROR(spec.status());
-    specs.push_back(std::move(spec).value());
+    auto cells = LoadScenarioFile(f);
+    BURTREE_RETURN_IF_ERROR(cells.status());
+    for (ScenarioSpec& spec : cells.value()) {
+      // The gate keys rows by name; two files naming the same scenario
+      // would silently collapse into one row.
+      if (!names.insert(spec.name).second) {
+        return Status::InvalidArgument("duplicate scenario name '" +
+                                       spec.name + "' in " + f);
+      }
+      specs.push_back(std::move(spec));
+    }
   }
   return specs;
 }
@@ -364,6 +465,21 @@ StatusOr<ScenarioResult> RunScenario(const ScenarioSpec& spec) {
                           0.0, 1.0);
         return to;
       };
+      // A residual wait-die Abort can escape the DGL retry budget under a
+      // hot granule. It fires before any tree mutation (in ingest mode
+      // the pool's workers retry whole batches), so the op is re-run.
+      // The backoff is seeded per client and op, never from `rng`, so op
+      // counts stay a pure function of the seed.
+      auto retry_aborted = [&](uint64_t op_index, auto&& op) {
+        Status st = op();
+        JitteredBackoff backoff((uint64_t{t} << 40) ^ op_index);
+        while (st.code() == StatusCode::kAborted &&
+               !failed.load(std::memory_order_relaxed)) {
+          backoff.Sleep();
+          st = op();
+        }
+        return st;
+      };
       using Clock = std::chrono::steady_clock;
       for (uint64_t i = 0;; ++i) {
         if (failed.load(std::memory_order_relaxed)) break;
@@ -382,15 +498,10 @@ StatusOr<ScenarioResult> RunScenario(const ScenarioSpec& spec) {
           const uint64_t k = picker.Pick(rng, range, i);
           const Point from = pos[k];
           const Point to = move_from(from);
-          st = ingest != nullptr
-                   ? ingest->Update(lo + k, from, to)
-                   : index.Update(lo + k, from, to);
-          while (st.code() == StatusCode::kAborted &&
-                 !failed.load(std::memory_order_relaxed)) {
-            std::this_thread::yield();
-            st = ingest != nullptr ? ingest->Update(lo + k, from, to)
-                                   : index.Update(lo + k, from, to);
-          }
+          st = retry_aborted(i, [&] {
+            return ingest != nullptr ? ingest->Update(lo + k, from, to)
+                                     : index.Update(lo + k, from, to);
+          });
           if (st.ok()) {
             pos[k] = to;
             ++tally.updates;
@@ -399,47 +510,28 @@ StatusOr<ScenarioResult> RunScenario(const ScenarioSpec& spec) {
           // Deletes only consume this client's own churned objects —
           // conservation stays exact: final = initial + net(churn).
           const auto victim = churn.TakeDelete(rng);
-          st = index.Delete(victim.first, victim.second);
-          while (st.code() == StatusCode::kAborted &&
-                 !failed.load(std::memory_order_relaxed)) {
-            std::this_thread::yield();
-            st = index.Delete(victim.first, victim.second);
-          }
+          st = retry_aborted(
+              i, [&] { return index.Delete(victim.first, victim.second); });
           if (st.ok()) ++tally.deletes;
         } else if (r < p_delete) {
           // Insert pick, or a delete pick with nothing live yet (the
           // deterministic downgrade keeps the churn ledger exact).
           const Point p{rng.NextDouble(), rng.NextDouble()};
           const ObjectId oid = churn.MintInsert(p);
-          st = ingest != nullptr ? ingest->Insert(oid, p)
-                                 : index.Insert(oid, p);
-          while (st.code() == StatusCode::kAborted &&
-                 !failed.load(std::memory_order_relaxed)) {
-            std::this_thread::yield();
-            st = ingest != nullptr ? ingest->Insert(oid, p)
-                                   : index.Insert(oid, p);
-          }
+          st = retry_aborted(i, [&] {
+            return ingest != nullptr ? ingest->Insert(oid, p)
+                                     : index.Insert(oid, p);
+          });
           if (st.ok()) ++tally.inserts;
         } else if (r < p_knn) {
           const Point q{rng.NextDouble(), rng.NextDouble()};
-          StatusOr<size_t> kr = index.Knn(q, spec.knn_k);
-          while (kr.status().code() == StatusCode::kAborted &&
-                 !failed.load(std::memory_order_relaxed)) {
-            std::this_thread::yield();
-            kr = index.Knn(q, spec.knn_k);
-          }
-          st = kr.status();
+          st = retry_aborted(
+              i, [&] { return index.Knn(q, spec.knn_k).status(); });
           if (st.ok()) ++tally.knns;
         } else {
           const Rect w =
               WorkloadGenerator::QueryWindowFrom(rng, spec.query_max_dim);
-          StatusOr<size_t> qr = index.Query(w);
-          while (qr.status().code() == StatusCode::kAborted &&
-                 !failed.load(std::memory_order_relaxed)) {
-            std::this_thread::yield();
-            qr = index.Query(w);
-          }
-          st = qr.status();
+          st = retry_aborted(i, [&] { return index.Query(w).status(); });
           if (st.ok()) ++tally.queries;
         }
         if (!st.ok() && st.code() != StatusCode::kAborted) {

@@ -11,8 +11,10 @@
 //
 // Spec format: `key: value` lines, `#` comments, unknown keys rejected
 // (a typo must fail loudly, not silently run the default scenario).
-// Example — see bench/README.md "Declarative scenario suite" for the
-// full key table:
+// Any key but `name` may list values, `key: a | b | c`: the file then
+// expands into the cross product of its listed keys (ParseScenarioGrid),
+// which is how bench/grids/ declares whole sweeps. Example — see
+// bench/README.md "Declarative scenario suite" for the full key table:
 //
 //   name: hotspot_gbu_coupled
 //   strategy: GBU
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "harness/experiment.h"
+#include "ingest/ingest_pool.h"
 #include "workload/churn.h"
 #include "workload/skew.h"
 
@@ -98,10 +101,22 @@ struct ScenarioSpec {
 StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
                                      const std::string& default_name);
 
-/// Loads and parses one spec file.
-StatusOr<ScenarioSpec> LoadScenarioFile(const std::string& path);
+/// Expands list values (`key: a | b`, `|`-separated because `ingest:`
+/// values contain commas) into the cross product of the listed keys,
+/// first listed key slowest, and parses each cell with ParseScenario.
+/// A cell is named `<name>/<key>=<value>...` over every listed key, in
+/// file order. A spec without lists yields exactly one, unrenamed, spec.
+/// A list on `name`, or an empty or repeated element, fails with its
+/// line number.
+StatusOr<std::vector<ScenarioSpec>> ParseScenarioGrid(
+    const std::string& text, const std::string& default_name);
 
-/// Loads every "*.scn" file in `dir`, sorted by filename.
+/// Loads one spec file and expands it (ParseScenarioGrid).
+StatusOr<std::vector<ScenarioSpec>> LoadScenarioFile(
+    const std::string& path);
+
+/// Loads every "*.scn" file in `dir`, sorted by filename, each expanded
+/// into its cells. Scenario names must be unique across the directory.
 StatusOr<std::vector<ScenarioSpec>> LoadScenarioDir(const std::string& dir);
 
 struct ScenarioResult {

@@ -26,7 +26,7 @@ bool ParseIngestSpec(const std::string& spec, IngestOptions* out) {
     if (tok.empty()) continue;
     const size_t eq = tok.find('=');
     if (eq == std::string::npos) {
-      // Bare integer shorthand: "--ingest 8" means workers=8.
+      // Bare integer shorthand: "ingest: 8" means workers=8.
       uint64_t v = 0;
       if (!ParseUint64(tok, &v, kMaxWorkers)) return false;
       parsed.workers = static_cast<uint32_t>(v);
@@ -47,11 +47,6 @@ bool ParseIngestSpec(const std::string& spec, IngestOptions* out) {
   }
   *out = parsed;
   return true;
-}
-
-std::string IngestSpecString(const IngestOptions& options) {
-  return "workers=" + std::to_string(options.workers) +
-         ",batch=" + std::to_string(options.max_batch);
 }
 
 IngestPool::IngestPool(ConcurrentIndex* index, const IngestOptions& options)

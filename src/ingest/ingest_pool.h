@@ -34,13 +34,10 @@ struct IngestStats {
   uint64_t abort_retries = 0; ///< batch re-runs after a residual DGL abort
 };
 
-/// Parses the benches' `--ingest workers=N[,batch=K]` spec; a bare
+/// Parses a scenario's `ingest: workers=N[,batch=K]` spec; a bare
 /// integer means workers=N. Returns false (leaving `out` untouched) on
 /// malformed input. An empty spec parses to the disabled default.
 bool ParseIngestSpec(const std::string& spec, IngestOptions* out);
-
-/// Renders options back to "workers=N,batch=K" (benches' headers).
-std::string IngestSpecString(const IngestOptions& options);
 
 class IngestPool {
  public:

@@ -37,11 +37,6 @@ struct IndexSystemOptions {
   /// is memory-resident; each lookup is charged the cost model's one
   /// disk read; maintenance is free (I/O accounting in docs/STORAGE.md).
   HashIndexOptions hash = HashIndexOptions::MemoryResident();
-  /// Batched ingestion front-end configuration (src/ingest). The system
-  /// itself never reads it — it rides here so one options struct
-  /// describes the whole deployment; the harness builds the IngestPool
-  /// over the ConcurrentIndex from this field.
-  IngestOptions ingest;
 };
 
 class IndexSystem {

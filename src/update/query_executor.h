@@ -41,7 +41,7 @@ class QueryExecutor {
                                 bool pruned = false);
 
   /// One attempt at an optimistic version-validated query (coupled latch
-  /// mode, --read-mode optimistic): latch-free snapshot descent with
+  /// mode, optimistic read mode): latch-free snapshot descent with
   /// validate-after-read (see RTree::QueryOptimistic), summary-pruned
   /// exactly like QueryCoupled when `pruned`. `budget` bounds snapshot
   /// failures + validation restarts across the whole call; exhaustion

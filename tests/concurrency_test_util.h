@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "harness/experiment.h"
+#include "harness/scenario.h"
 
 namespace burtree {
 namespace testutil {
@@ -87,9 +87,9 @@ bool EventuallyFaster(FasterFn faster, SlowerFn slower, int attempts = 3) {
   return false;
 }
 
-/// Runs one throughput measurement, asserting success, returning tps.
-inline double MustRunTps(const ThroughputConfig& cfg) {
-  auto res = RunThroughput(cfg);
+/// Runs one scenario, asserting success, returning its tps.
+inline double MustRunTps(const ScenarioSpec& spec) {
+  auto res = RunScenario(spec);
   EXPECT_TRUE(res.ok()) << res.status().ToString();
   return res.ok() ? res.value().tps : 0.0;
 }

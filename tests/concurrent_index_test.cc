@@ -148,19 +148,5 @@ TEST(ConcurrentIndexTest, LatencyChargedPerIo) {
   EXPECT_GE(sw.ElapsedSeconds(), 0.004);
 }
 
-TEST(ConcurrentIndexTest, ThroughputHarnessRuns) {
-  ThroughputConfig cfg;
-  cfg.base.strategy = StrategyKind::kGeneralizedBottomUp;
-  cfg.base.workload.num_objects = 2000;
-  cfg.threads = 8;
-  cfg.ops_per_thread = 50;
-  cfg.update_fraction = 0.5;
-  cfg.concurrency.io_latency_us = 0;
-  auto res = RunThroughput(cfg);
-  ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.value().total_ops, 8u * 50u);
-  EXPECT_GT(res.value().tps, 0.0);
-}
-
 }  // namespace
 }  // namespace burtree

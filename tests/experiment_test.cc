@@ -171,12 +171,12 @@ INSTANTIATE_TEST_SUITE_P(Distributions, DistributionSweepTest,
                          });
 
 TEST(ExperimentThroughputTest, GbuBeatsTdAtHighUpdateShare) {
-  ThroughputConfig mk;
+  ScenarioSpec mk;
   mk.base.workload.num_objects = 4000;
   mk.threads = 16;
   mk.ops_per_thread = 60;
-  mk.update_fraction = 1.0;  // 100% updates: Fig. 8's right edge
-  mk.concurrency.io_latency_us = 50;
+  mk.update_pct = 100;  // Fig. 8's right edge
+  mk.io_latency_us = 50;
 
   // The Figure-8 claim is qualitative — GBU above TD at a 100%-update
   // mix — so use the shared retry wrapper for the noisy comparison.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 
+#include "common/parse.h"
 #include "harness/cli.h"
 #include "harness/table_printer.h"
 
@@ -113,6 +115,49 @@ TEST(CliArgsTest, ScaleFactorDefaultsToOne) {
   if (getenv("BURTREE_SCALE") == nullptr) {
     EXPECT_DOUBLE_EQ(CliArgs::ScaleFactor(), 1.0);
     EXPECT_EQ(CliArgs::Scaled(100), 100u);
+  }
+}
+
+TEST(ParseDoubleTest, AcceptsDecimalAndExponentForms) {
+  double v = 0.0;
+  EXPECT_TRUE(ParseDouble("0.03", &v));
+  EXPECT_DOUBLE_EQ(v, 0.03);
+  EXPECT_TRUE(ParseDouble("-2", &v));
+  EXPECT_DOUBLE_EQ(v, -2.0);
+  EXPECT_TRUE(ParseDouble("1e-3", &v));
+  EXPECT_DOUBLE_EQ(v, 0.001);
+  EXPECT_TRUE(ParseDouble(".5", &v));
+  EXPECT_DOUBLE_EQ(v, 0.5);
+}
+
+TEST(ParseDoubleTest, RejectsPartialAndNonFiniteInput) {
+  double v = 7.0;
+  for (const char* s : {"", "6O", "0,03", "abc", " 1", "1 ", "0x10", "inf",
+                        "nan", "1e999", "--1", "1e"}) {
+    EXPECT_FALSE(ParseDouble(s, &v)) << "'" << s << "'";
+  }
+  EXPECT_DOUBLE_EQ(v, 7.0);  // untouched on failure
+}
+
+TEST(CliArgsTest, MalformedDoubleExitsTwo) {
+  // strtod ran "--buffer abc" as a 0% buffer.
+  const char* argv[] = {"prog", "--buffer", "abc", "--max-move=0,03"};
+  CliArgs args(4, const_cast<char**>(argv));
+  EXPECT_EXIT(args.GetDouble("buffer", 0.01), ::testing::ExitedWithCode(2),
+              "bad number 'abc' for --buffer");
+  EXPECT_EXIT(args.GetDouble("max-move", 0.03), ::testing::ExitedWithCode(2),
+              "bad number '0,03' for --max-move");
+}
+
+TEST(CliArgsTest, MalformedScaleExitsTwo) {
+  for (const char* bad : {"2x", "0", "-1", ""}) {
+    EXPECT_EXIT(
+        {
+          setenv("BURTREE_SCALE", bad, 1);
+          CliArgs::ScaleFactor();
+        },
+        ::testing::ExitedWithCode(2), "bad BURTREE_SCALE")
+        << "'" << bad << "'";
   }
 }
 

@@ -49,13 +49,6 @@ TEST(ParseIngestSpecTest, RejectsSignsWhitespaceAndOverflow) {
   EXPECT_FALSE(ParseIngestSpec("workers=5000", &opt));  // > sanity cap
   EXPECT_FALSE(ParseIngestSpec("batch=2000000", &opt));
   EXPECT_EQ(opt.workers, 7u);  // rejected parses leave `out` untouched
-  IngestOptions rt;
-  rt.workers = 3;
-  rt.max_batch = 32;
-  IngestOptions parsed;
-  EXPECT_TRUE(ParseIngestSpec(IngestSpecString(rt), &parsed));
-  EXPECT_EQ(parsed.workers, rt.workers);
-  EXPECT_EQ(parsed.max_batch, rt.max_batch);
 }
 
 TEST(MpscQueueTest, DrainsInOrderAndClosesCleanly) {

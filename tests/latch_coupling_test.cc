@@ -239,15 +239,15 @@ TEST(CoupledReaderWriterTortureTest, QueriesDuringSplitStorm) {
 // escalation under the tree-wide latch while coupled mode overlaps them
 // under page latches — coupled must come out ahead.
 TEST(CoupledThroughputTest, CoupledBeatsSubtreeOnEscalationHeavyUpdates) {
-  ThroughputConfig mk;
+  ScenarioSpec mk;
   mk.base.workload.num_objects = 4000;
   mk.base.workload.max_move_distance = 0.3;  // global jumps: escalations
   mk.base.strategy = StrategyKind::kGeneralizedBottomUp;
   mk.threads = 8;
   mk.ops_per_thread = 80;
-  mk.update_fraction = 1.0;
-  mk.concurrency.io_latency_us = 200;
-  mk.concurrency.io_latency_in_op = true;
+  mk.update_pct = 100;
+  mk.io_latency_us = 200;
+  mk.io_latency_in_op = true;
 
   EXPECT_TRUE(testutil::EventuallyFaster(
       [&]() {

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +151,115 @@ TEST(ScenarioParseTest, RejectsNonStrictIntegers) {
   }
 }
 
+TEST(ScenarioParseTest, RejectsMalformedNumbers) {
+  // atof ran each of these: "6O" as 6% updates, "0,03" as a zero move.
+  for (const char* line :
+       {"update_pct: 6O\n", "max_move: 0,03\n", "buffer: abc\n",
+        "query_dim: 0.01x\n", "hot_prob: nan\n", "duration_s: inf\n",
+        "expect_min_tps: 1e999\n"}) {
+    auto spec = ParseScenario(line, "strict");
+    ASSERT_FALSE(spec.ok()) << line;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(spec.status().message().find("bad number"), std::string::npos)
+        << spec.status().ToString();
+    EXPECT_NE(spec.status().message().find("line 1"), std::string::npos);
+  }
+}
+
+TEST(ScenarioParseTest, RejectsSkewFractionsOutOfRange) {
+  // hot_fraction 0 used to parse, then abort the run at SkewPicker's
+  // CHECK — even with skew: none.
+  const std::pair<const char*, const char*> cases[] = {
+      {"skew: none\nhot_fraction: 0\n", "line 2"},
+      {"hot_fraction: 1.5\n", "line 1"},
+      {"hot_prob: -0.1\n", "line 1"},
+      {"threads: 2\nhot_prob: 1.01\n", "line 2"},
+  };
+  for (const auto& [text, line] : cases) {
+    auto spec = ParseScenario(text, "skew");
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(spec.status().message().find("out of range"),
+              std::string::npos)
+        << spec.status().ToString();
+    EXPECT_NE(spec.status().message().find(line), std::string::npos)
+        << spec.status().ToString();
+  }
+  // The closed ends of both ranges stay legal.
+  EXPECT_TRUE(ParseScenario("hot_fraction: 1\nhot_prob: 0\n", "x").ok());
+  EXPECT_TRUE(ParseScenario("hot_prob: 1\n", "x").ok());
+}
+
+TEST(ScenarioGridTest, ExpandsCrossProductFirstKeySlowest) {
+  auto cells = ParseScenarioGrid(
+      "strategy: TD | LBU | GBU\nthreads: 2\nupdate_pct: 0 | 50\n", "g");
+  ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+  ASSERT_EQ(cells.value().size(), 6u);
+  const StrategyKind strategies[] = {StrategyKind::kTopDown,
+                                     StrategyKind::kLocalizedBottomUp,
+                                     StrategyKind::kGeneralizedBottomUp};
+  for (size_t i = 0; i < 6; ++i) {
+    const ScenarioSpec& s = cells.value()[i];
+    EXPECT_EQ(s.base.strategy, strategies[i / 2]) << i;
+    EXPECT_DOUBLE_EQ(s.update_pct, i % 2 == 0 ? 0.0 : 50.0) << i;
+    EXPECT_EQ(s.threads, 2u) << i;
+  }
+}
+
+TEST(ScenarioGridTest, CellNamesAreUniqueAndDeterministic) {
+  const std::string text =
+      "name: sweep\nlatch_mode: global | coupled\nshards: 1 | 8\n";
+  auto a = ParseScenarioGrid(text, "file_stem");
+  auto b = ParseScenarioGrid(text, "file_stem");
+  ASSERT_TRUE(a.ok() && b.ok());
+  std::vector<std::string> names;
+  for (const ScenarioSpec& s : a.value()) names.push_back(s.name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "sweep/latch_mode=global/shards=1",
+                       "sweep/latch_mode=global/shards=8",
+                       "sweep/latch_mode=coupled/shards=1",
+                       "sweep/latch_mode=coupled/shards=8"}));
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(b.value()[i].name, names[i]);
+  }
+
+  // Without lists the spec is one cell under its plain name.
+  auto plain = ParseScenarioGrid("threads: 2\n", "plain");
+  ASSERT_TRUE(plain.ok());
+  ASSERT_EQ(plain.value().size(), 1u);
+  EXPECT_EQ(plain.value()[0].name, "plain");
+}
+
+TEST(ScenarioGridTest, CommaInsideIngestStaysOneValue) {
+  auto cells = ParseScenarioGrid(
+      "ingest: workers=0 | workers=4,batch=64\n", "batch");
+  ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+  ASSERT_EQ(cells.value().size(), 2u);
+  EXPECT_EQ(cells.value()[0].base.ingest.workers, 0u);
+  EXPECT_EQ(cells.value()[1].base.ingest.workers, 4u);
+  EXPECT_EQ(cells.value()[1].base.ingest.max_batch, 64u);
+  EXPECT_EQ(cells.value()[1].name, "batch/ingest=workers=4,batch=64");
+}
+
+TEST(ScenarioGridTest, BadListsFailWithTheirLineNumber) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"threads: 2\nname: a | b\n", "line 2"},
+      {"strategy: TD | | GBU\n", "line 1"},
+      {"threads: 2\n\nupdate_pct: 10 |\n", "line 3"},
+      {"shards: | 4\n", "line 1"},
+      {"shards: 4 | 4\n", "line 1"},
+      // A bad element fails the cell that carries it, at the file line.
+      {"threads: 2\nupdate_pct: 10 | 6O\n", "line 2"},
+  };
+  for (const auto& [text, line] : cases) {
+    auto cells = ParseScenarioGrid(text, "bad");
+    ASSERT_FALSE(cells.ok()) << text;
+    EXPECT_EQ(cells.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(cells.status().message().find(line), std::string::npos)
+        << cells.status().ToString();
+  }
+}
+
 TEST(ScenarioLoadTest, LoadsDirectorySortedAndSkipsOtherFiles) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
@@ -167,8 +278,19 @@ TEST(ScenarioLoadTest, LoadsDirectorySortedAndSkipsOtherFiles) {
   const std::filesystem::path empty = dir / "empty";
   std::filesystem::create_directories(empty);
   EXPECT_FALSE(LoadScenarioDir(empty.string()).ok());
+  // A list-valued file contributes every cell, in order.
+  std::ofstream(dir / "30_grid.scn") << "ops_per_thread: 5\nshards: 1 | 2\n";
+  specs = LoadScenarioDir(dir.string());
+  ASSERT_TRUE(specs.ok()) << specs.status().ToString();
+  ASSERT_EQ(specs.value().size(), 4u);
+  EXPECT_EQ(specs.value()[2].name, "30_grid/shards=1");
+  EXPECT_EQ(specs.value()[3].name, "30_grid/shards=2");
+  // Two files naming the same scenario would collapse into one gate row.
+  std::ofstream(dir / "40_dup.scn") << "name: 10_a\nops_per_thread: 5\n";
+  EXPECT_FALSE(LoadScenarioDir(dir.string()).ok());
+  std::filesystem::remove(dir / "40_dup.scn");
   // A malformed file poisons the whole load.
-  std::ofstream(dir / "30_bad.scn") << "nonsense_key: 1\n";
+  std::ofstream(dir / "50_bad.scn") << "nonsense_key: 1\n";
   EXPECT_FALSE(LoadScenarioDir(dir.string()).ok());
   std::filesystem::remove_all(dir);
 }
