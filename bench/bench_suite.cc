@@ -93,9 +93,8 @@ void EmitJson(const std::string& path, const std::string& suite,
         ", \"hit_rate\": %.3f,\n"
         "     \"dgl_acquisitions\": %" PRIu64 ", \"dgl_waits\": %" PRIu64
         ", \"dgl_aborts\": %" PRIu64 ",\n"
-        "     \"escalated_updates\": %" PRIu64
-        ", \"escalated_queries\": %" PRIu64 ", \"compound_smos\": %" PRIu64
-        ", \"descent_restarts\": %" PRIu64 ",\n"
+        "     \"compound_smos\": %" PRIu64 ", \"descent_restarts\": %" PRIu64
+        ",\n"
         "     \"coupled_queries\": %" PRIu64
         ", \"optimistic_queries\": %" PRIu64
         ", \"optimistic_fallbacks\": %" PRIu64
@@ -117,7 +116,6 @@ void EmitJson(const std::string& path, const std::string& suite,
         r.ops_knn, r.latency.mean_us, r.latency.p50_us, r.latency.p99_us,
         r.io_reads, r.io_writes, r.hit_rate, r.lock_stats.acquisitions,
         r.lock_stats.waits, r.lock_stats.aborts,
-        r.latch_stats.escalated_updates, r.latch_stats.escalated_queries,
         r.latch_stats.compound_smos, r.latch_stats.descent_restarts,
         r.latch_stats.coupled_queries, r.latch_stats.optimistic_queries,
         r.latch_stats.optimistic_fallbacks, r.latch_stats.pruned_queries,

@@ -6,7 +6,9 @@ Compares a current bench_suite emission against a checked-in baseline
 
   exact   op-kind counts and the churn ledger of op-bound scenarios —
           pure functions of the seed (the suite's determinism contract),
-          so any drift is a behavior change, not noise.
+          so any drift is a behavior change, not noise. An op-bound
+          baseline row must stay op-bound: a spec switched to a duration
+          bound would otherwise silently skip the exact comparison.
   ratio   perf metrics (tps, p99): machines differ, so the gate only
           fails when the current value leaves [min_ratio, max_ratio] x
           baseline. Tiny baselines are floored (see --p99-floor-us) so
@@ -17,9 +19,9 @@ Compares a current bench_suite emission against a checked-in baseline
 Exit codes: 0 = gate passed, 1 = usage/io error, 2 = gate violations.
 
 --self-check perturbs an in-memory copy of the baseline (worse tps, a
-shifted op count, a failed check) and verifies the gate rejects each
-perturbation — run by ctest so a silently-vacuous gate is itself a
-test failure.
+shifted op count, a dropped op bound, a failed check) and verifies the
+gate rejects each perturbation — run by ctest so a silently-vacuous
+gate is itself a test failure.
 """
 
 import argparse
@@ -85,7 +87,12 @@ def compare(baseline, current, args):
                 f"check(s) failed: {cur.get('check_failures')}"
             )
 
-        if base.get("ops_bound") and cur.get("ops_bound"):
+        if base.get("ops_bound") and not cur.get("ops_bound"):
+            violations.append(
+                f"{name}: baseline is op-bound but the current run is not "
+                "(exact-compare metrics cannot be checked)"
+            )
+        elif base.get("ops_bound"):
             for key in EXACT_KEYS:
                 if base.get(key) != cur.get(key):
                     violations.append(
@@ -154,6 +161,11 @@ def self_check(baseline, args):
             lambda d: next(r for r in d["scenarios"]
                            if r.get("ops_bound")).update(
                 ops_update=ops_bound[0]["ops_update"] + 1),
+        )
+        expect_violation(
+            "ops-bound-dropped",
+            lambda d: next(r for r in d["scenarios"]
+                           if r.get("ops_bound")).update(ops_bound=False),
         )
     expect_violation(
         "failed-check",

@@ -25,8 +25,8 @@ SCHEMAS = {
             "ops_update", "ops_insert", "ops_delete", "ops_query",
             "ops_knn", "mean_us", "p50_us", "p99_us", "io_reads",
             "io_writes", "hit_rate", "dgl_acquisitions", "dgl_waits",
-            "dgl_aborts", "escalated_updates", "escalated_queries",
-            "compound_smos", "descent_restarts", "coupled_queries",
+            "dgl_aborts", "compound_smos", "descent_restarts",
+            "coupled_queries",
             "optimistic_queries", "optimistic_fallbacks", "pruned_queries",
             "coupled_reinserts", "batched_updates", "batch_pages",
             "batch_fallbacks", "ingest_batches", "ingest_batched_ops",

@@ -365,13 +365,12 @@ Status BufferPool::DeletePage(PageId id) {
   std::unique_lock lock(shard.mu);
   // Freeing the disk page while its eviction write-back (or a miss read)
   // is in flight would make that latch-free I/O fail: wait for it to
-  // land. A pinned frame is waited out too: the paths that pin a page
-  // without holding any tree latch — escalation warming's pull-in, an
-  // optimistic reader's snapshot copy — hold the pin only transiently
-  // and block on nothing a structural deleter can hold, so the wait
-  // always drains. The deadline keeps a genuinely leaked guard (a
-  // caller deleting a page it still has pinned) a loud error instead of
-  // a hang.
+  // land. A pinned frame is waited out too: the path that pins a page
+  // without holding its latch — an optimistic reader's snapshot copy —
+  // holds the pin only transiently and blocks on nothing a structural
+  // deleter can hold, so the wait always drains. The deadline keeps a
+  // genuinely leaked guard (a caller deleting a page it still has
+  // pinned) a loud error instead of a hang.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (;;) {

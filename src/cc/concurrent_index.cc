@@ -105,7 +105,6 @@ Status AcquireDglWithRetry(LockManager* lm, uint64_t ts,
 const char* LatchModeName(LatchMode mode) {
   switch (mode) {
     case LatchMode::kGlobal: return "global";
-    case LatchMode::kSubtree: return "subtree";
     case LatchMode::kCoupled: return "coupled";
   }
   return "?";
@@ -114,10 +113,6 @@ const char* LatchModeName(LatchMode mode) {
 bool ParseLatchMode(const std::string& s, LatchMode* out) {
   if (s == "global") {
     *out = LatchMode::kGlobal;
-    return true;
-  }
-  if (s == "subtree") {
-    *out = LatchMode::kSubtree;
     return true;
   }
   if (s == "coupled") {
@@ -169,9 +164,7 @@ ConcurrentIndex::ConcurrentIndex(IndexSystem* system,
 LatchModeStats ConcurrentIndex::latch_stats() const {
   LatchModeStats s;
   s.scoped_updates = scoped_updates_.load(std::memory_order_relaxed);
-  s.escalated_updates = escalated_updates_.load(std::memory_order_relaxed);
   s.coupled_queries = coupled_queries_.load(std::memory_order_relaxed);
-  s.escalated_queries = escalated_queries_.load(std::memory_order_relaxed);
   s.coupled_escalations =
       coupled_escalations_.load(std::memory_order_relaxed);
   s.coupled_inserts = coupled_inserts_.load(std::memory_order_relaxed);
@@ -245,48 +238,6 @@ bool ConcurrentIndex::TryScopedUpdate(const UpdatePlan& plan, ObjectId oid,
   scoped_updates_.fetch_add(1, std::memory_order_relaxed);
   *out = result.status();
   return true;
-}
-
-Status ConcurrentIndex::UpdateSubtree(ObjectId oid, const Point& from,
-                                      const Point& to, uint64_t* ios) {
-  PageStore::ResetThreadIo();
-  PageId warm = kInvalidPageId;
-  {
-    std::shared_lock tree_latch(latch_);
-    // The plan reads only the oid index and the summary (their own
-    // mutexes) — no tree pages — so it cannot race page writers.
-    const UpdatePlan plan = strategy_->PlanUpdate(oid, from, to);
-    if (plan.leaf_local) {
-      Status scoped_status;
-      if (TryScopedUpdate(plan, oid, from, to, &scoped_status)) {
-        *ios = PageStore::thread_io();
-        return scoped_status;
-      }
-      // Escalation warming, step 1: predict the page the re-run will
-      // stall on. The probe uses a fresh try-only latch scope (released
-      // at block exit) and must run under the shared tree latch like
-      // any page-latching reader.
-      PageLatchSet probe(&latch_table_);
-      WriterScope probe_scope(&probe);
-      warm = strategy_->PredictEscalationDest(probe_scope, plan, oid,
-                                              from, to);
-    }
-  }
-  // Step 2: pull it into the buffer pool holding no latch at all — only
-  // the pin is taken, the bytes are never read — so the I/O sleep
-  // overlaps every other thread instead of delaying the escalation or
-  // blocking a subtree.
-  if (warm != kInvalidPageId) {
-    auto res = system_->buffer().FetchPage(warm);
-    if (res.ok()) system_->buffer().UnpinPage(warm, /*dirty=*/false);
-  }
-  escalated_updates_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock tree_latch(latch_);
-  WalOpScope wal_scope(system_->wal());
-  DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
-  auto result = strategy_->Update(oid, from, to);
-  *ios = PageStore::thread_io();
-  return result.status();
 }
 
 Status ConcurrentIndex::InsertCoupledWithRetry(
@@ -515,9 +466,7 @@ Status ConcurrentIndex::UpdateCoupled(ObjectId oid, const Point& from,
         return scoped_status;
       }
     }
-    // Escalation without any tree-wide latch. No warming probe here:
-    // the re-run overlaps its I/O under page latches, so there is no
-    // exclusive section to shorten.
+    // Escalation without any tree-wide latch.
     if (strategy_->SupportsCoupledEscalation()) {
       coupled_escalations_.fetch_add(1, std::memory_order_relaxed);
       Status st =
@@ -561,18 +510,9 @@ Status ConcurrentIndex::Update(ObjectId oid, const Point& from,
   }));
 
   uint64_t ios = 0;
-  Status op_status;
-  switch (options_.latch_mode) {
-    case LatchMode::kGlobal:
-      op_status = UpdateGlobal(oid, from, to, &ios);
-      break;
-    case LatchMode::kSubtree:
-      op_status = UpdateSubtree(oid, from, to, &ios);
-      break;
-    case LatchMode::kCoupled:
-      op_status = UpdateCoupled(oid, from, to, &ios);
-      break;
-  }
+  const Status op_status = options_.latch_mode == LatchMode::kGlobal
+                               ? UpdateGlobal(oid, from, to, &ios)
+                               : UpdateCoupled(oid, from, to, &ios);
   ChargeIoLatency(ios);
   lock_manager_.ReleaseAll(ts);
   return op_status;
@@ -586,36 +526,22 @@ Status ConcurrentIndex::Insert(ObjectId oid, const Point& pos) {
 
   PageStore::ResetThreadIo();
   Status op_status;
-  switch (options_.latch_mode) {
-    case LatchMode::kGlobal: {
-      std::unique_lock latch(latch_);
+  if (options_.latch_mode == LatchMode::kGlobal) {
+    std::unique_lock latch(latch_);
+    WalOpScope wal_scope(system_->wal());
+    DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
+    op_status = system_->Insert(oid, pos);
+  } else {
+    // Owns the shared gate internally; with forced re-insertion
+    // configured it also runs the eviction + re-insert lifecycle.
+    op_status = CoupledInsertWithReinsert(oid, IndexSystem::PointRect(pos));
+    if (op_status.code() == StatusCode::kLatchContention) {
+      compound_smos_.fetch_add(1, std::memory_order_relaxed);
+      std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
+      AcquireCompoundGate(xgate);
       WalOpScope wal_scope(system_->wal());
       DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
       op_status = system_->Insert(oid, pos);
-      break;
-    }
-    case LatchMode::kSubtree: {
-      // An insert is a structure modification; subtree mode escalates.
-      escalated_updates_.fetch_add(1, std::memory_order_relaxed);
-      std::unique_lock latch(latch_);
-      WalOpScope wal_scope(system_->wal());
-      DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
-      op_status = system_->Insert(oid, pos);
-      break;
-    }
-    case LatchMode::kCoupled: {
-      // Owns the shared gate internally; with forced re-insertion
-      // configured it also runs the eviction + re-insert lifecycle.
-      op_status = CoupledInsertWithReinsert(oid, IndexSystem::PointRect(pos));
-      if (op_status.code() == StatusCode::kLatchContention) {
-        compound_smos_.fetch_add(1, std::memory_order_relaxed);
-        std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
-        AcquireCompoundGate(xgate);
-        WalOpScope wal_scope(system_->wal());
-        DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
-        op_status = system_->Insert(oid, pos);
-      }
-      break;
     }
   }
   ChargeIoLatency(PageStore::thread_io());
@@ -634,36 +560,21 @@ Status ConcurrentIndex::Delete(ObjectId oid, const Point& pos) {
   PageStore::ResetThreadIo();
   const Rect rect = IndexSystem::PointRect(pos);
   Status op_status;
-  switch (options_.latch_mode) {
-    case LatchMode::kGlobal: {
-      std::unique_lock latch(latch_);
-      WalOpScope wal_scope(system_->wal());
-      DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
-      op_status = system_->tree().Delete(oid, rect);
-      break;
-    }
-    case LatchMode::kSubtree: {
-      // Condense + orphan re-insertion is a structure modification with
-      // an unbounded write set; subtree mode escalates like any SMO.
-      escalated_updates_.fetch_add(1, std::memory_order_relaxed);
-      std::unique_lock latch(latch_);
-      WalOpScope wal_scope(system_->wal());
-      DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
-      op_status = system_->tree().Delete(oid, rect);
-      break;
-    }
-    case LatchMode::kCoupled: {
-      // Exactly the underflow-condense compound path: drain all coupled
-      // traffic (waiting out any open reinsert bracket), then run the
-      // stock single-threaded delete.
-      compound_smos_.fetch_add(1, std::memory_order_relaxed);
-      std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
-      AcquireCompoundGate(xgate);
-      WalOpScope wal_scope(system_->wal());
-      DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
-      op_status = system_->tree().Delete(oid, rect);
-      break;
-    }
+  if (options_.latch_mode == LatchMode::kGlobal) {
+    std::unique_lock latch(latch_);
+    WalOpScope wal_scope(system_->wal());
+    DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
+    op_status = system_->tree().Delete(oid, rect);
+  } else {
+    // Exactly the underflow-condense compound path: drain all coupled
+    // traffic (waiting out any open reinsert bracket), then run the
+    // stock single-threaded delete.
+    compound_smos_.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
+    AcquireCompoundGate(xgate);
+    WalOpScope wal_scope(system_->wal());
+    DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
+    op_status = system_->tree().Delete(oid, rect);
   }
   if (op_status.ok()) deletes_.fetch_add(1, std::memory_order_relaxed);
   ChargeIoLatency(PageStore::thread_io());
@@ -674,30 +585,16 @@ Status ConcurrentIndex::Delete(ObjectId oid, const Point& pos) {
 StatusOr<size_t> ConcurrentIndex::Knn(const Point& query, size_t k) {
   PageStore::ResetThreadIo();
   StatusOr<std::vector<RTree::Neighbor>> result = [&]() {
-    switch (options_.latch_mode) {
-      case LatchMode::kGlobal: {
-        // Updates hold the tree-wide latch exclusively, so a shared
-        // hold gives the latch-free best-first descent a quiescent tree.
-        std::shared_lock latch(latch_);
-        return system_->tree().NearestNeighbors(query, k);
-      }
-      case LatchMode::kSubtree: {
-        // Scoped updates hold the tree latch *shared* and mutate under
-        // page latches the kNN descent does not take — only the
-        // exclusive side excludes them.
-        escalated_queries_.fetch_add(1, std::memory_order_relaxed);
-        std::unique_lock latch(latch_);
-        return system_->tree().NearestNeighbors(query, k);
-      }
-      case LatchMode::kCoupled: {
-        compound_smos_.fetch_add(1, std::memory_order_relaxed);
-        std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
-        AcquireCompoundGate(xgate);
-        return system_->tree().NearestNeighbors(query, k);
-      }
+    if (options_.latch_mode == LatchMode::kGlobal) {
+      // Updates hold the tree-wide latch exclusively, so a shared hold
+      // gives the latch-free best-first descent a quiescent tree.
+      std::shared_lock latch(latch_);
+      return system_->tree().NearestNeighbors(query, k);
     }
-    return StatusOr<std::vector<RTree::Neighbor>>(
-        Status::InvalidArgument("unknown latch mode"));
+    compound_smos_.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
+    AcquireCompoundGate(xgate);
+    return system_->tree().NearestNeighbors(query, k);
   }();
   ChargeIoLatency(PageStore::thread_io());
   if (!result.ok()) return result.status();
@@ -711,28 +608,6 @@ StatusOr<size_t> ConcurrentIndex::QueryGlobal(const Rect& window,
   PageStore::ResetThreadIo();
   StatusOr<size_t> result = executor_->Query(window);
   *ios = PageStore::thread_io();
-  return result;
-}
-
-StatusOr<size_t> ConcurrentIndex::QuerySubtree(const Rect& window,
-                                               uint64_t* ios) {
-  PageStore::ResetThreadIo();
-  {
-    std::shared_lock tree_latch(latch_);
-    PageLatchSet latches(&latch_table_);
-    ReaderHooks hooks(&latches);
-    StatusOr<size_t> result = executor_->Query(window, nullptr, &hooks);
-    if (result.status().code() != StatusCode::kLatchContention) {
-      coupled_queries_.fetch_add(1, std::memory_order_relaxed);
-      *ios = PageStore::thread_io();
-      return result;
-    }
-  }
-  // Coupling starved (bounded retries exhausted): serialize this query.
-  escalated_queries_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock tree_latch(latch_);
-  StatusOr<size_t> result = executor_->Query(window);
-  *ios = PageStore::thread_io();  // includes the aborted coupled attempt
   return result;
 }
 
@@ -831,14 +706,9 @@ StatusOr<size_t> ConcurrentIndex::Query(const Rect& window) {
   }));
 
   uint64_t ios = 0;
-  StatusOr<size_t> result = [&]() -> StatusOr<size_t> {
-    switch (options_.latch_mode) {
-      case LatchMode::kGlobal: return QueryGlobal(window, &ios);
-      case LatchMode::kSubtree: return QuerySubtree(window, &ios);
-      case LatchMode::kCoupled: return QueryCoupled(window, &ios);
-    }
-    return Status::InvalidArgument("unknown latch mode");
-  }();
+  StatusOr<size_t> result = options_.latch_mode == LatchMode::kGlobal
+                                ? QueryGlobal(window, &ios)
+                                : QueryCoupled(window, &ios);
   ChargeIoLatency(ios);
   lock_manager_.ReleaseAll(ts);
   return result;
@@ -909,7 +779,8 @@ Status ConcurrentIndex::UpdateBatch(std::vector<BatchUpdateOp>& ops) {
     std::unordered_set<ObjectId> seen;
     seen.reserve(ops.size());
 
-    auto run_groups = [&]() {
+    {
+      std::shared_lock<DrainGate> gate(smo_gate_);
       for (BatchUpdateOp& op : ops) {
         if (!seen.insert(op.oid).second) {
           deferred.push_back(&op);
@@ -970,27 +841,17 @@ Status ConcurrentIndex::UpdateBatch(std::vector<BatchUpdateOp>& ops) {
         batch_pages_.fetch_add(1, std::memory_order_relaxed);
         i = j;
       }
-    };
-    if (options_.latch_mode == LatchMode::kSubtree) {
-      std::shared_lock tree_latch(latch_);
-      run_groups();
-    } else {
-      std::shared_lock<DrainGate> gate(smo_gate_);
-      run_groups();
     }
     ios = PageStore::thread_io();
 
     // Per-op fallback under the batch's DGL locks (strictly more
-    // exclusion than any single op needs): the existing mode-specific
-    // path handles escalation, compound SMOs, and its own latching.
+    // exclusion than any single op needs): the coupled per-op path
+    // handles escalation, compound SMOs, and its own latching.
     fallback.insert(fallback.end(), deferred.begin(), deferred.end());
     batch_fallbacks_.fetch_add(fallback.size(), std::memory_order_relaxed);
     for (BatchUpdateOp* op : fallback) {
       uint64_t op_ios = 0;
-      const Status st =
-          options_.latch_mode == LatchMode::kSubtree
-              ? UpdateSubtree(op->oid, op->from, op->to, &op_ios)
-              : UpdateCoupled(op->oid, op->from, op->to, &op_ios);
+      const Status st = UpdateCoupled(op->oid, op->from, op->to, &op_ios);
       ios += op_ios;
       record(*op, st);
     }
@@ -1026,48 +887,38 @@ Status ConcurrentIndex::InsertBatch(std::vector<BatchInsertOp>& ops) {
   };
 
   PageStore::ResetThreadIo();
-  switch (options_.latch_mode) {
-    case LatchMode::kGlobal:
-    case LatchMode::kSubtree: {
-      // Inserts are structure modifications in both modes; the batch
-      // amortizes the tree-wide exclusive hold and the WAL record.
-      if (options_.latch_mode == LatchMode::kSubtree) {
-        escalated_updates_.fetch_add(ops.size(), std::memory_order_relaxed);
-      }
-      std::unique_lock latch(latch_);
-      WalOpScope wal_scope(system_->wal());
-      DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
-      for (BatchInsertOp& op : ops) {
-        record(op, system_->Insert(op.oid, op.pos));
-        // Apply per op: a forced-reinsert eviction by one insert must
-        // be visible to the oid index before the next op runs.
-        obs_scope.Apply();
-      }
-      wal_scope.Commit();
-      batch_pages_.fetch_add(1, std::memory_order_relaxed);
-      break;
+  if (options_.latch_mode == LatchMode::kGlobal) {
+    // Inserts are structure modifications; the batch amortizes the
+    // tree-wide exclusive hold and the WAL record.
+    std::unique_lock latch(latch_);
+    WalOpScope wal_scope(system_->wal());
+    DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
+    for (BatchInsertOp& op : ops) {
+      record(op, system_->Insert(op.oid, op.pos));
+      // Apply per op: a forced-reinsert eviction by one insert must be
+      // visible to the oid index before the next op runs.
+      obs_scope.Apply();
     }
-    case LatchMode::kCoupled: {
-      // Each insert still runs its own latch-coupled descent (the write
-      // set is discovered during the descent, so there is no leaf group
-      // to batch under one latch hold); the DGL round trip is the
-      // amortized part.
-      for (BatchInsertOp& op : ops) {
-        Status st =
-            CoupledInsertWithReinsert(op.oid, IndexSystem::PointRect(op.pos));
-        if (st.code() == StatusCode::kLatchContention) {
-          compound_smos_.fetch_add(1, std::memory_order_relaxed);
-          std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
-          AcquireCompoundGate(xgate);
-          WalOpScope wal_scope(system_->wal());
-          DeferredObserverScope obs_scope(
-              system_->tree().subscribed_observer());
-          st = system_->Insert(op.oid, op.pos);
-        }
-        batch_pages_.fetch_add(1, std::memory_order_relaxed);
-        record(op, st);
+    wal_scope.Commit();
+    batch_pages_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Each insert still runs its own latch-coupled descent (the write
+    // set is discovered during the descent, so there is no leaf group
+    // to batch under one latch hold); the DGL round trip is the
+    // amortized part.
+    for (BatchInsertOp& op : ops) {
+      Status st =
+          CoupledInsertWithReinsert(op.oid, IndexSystem::PointRect(op.pos));
+      if (st.code() == StatusCode::kLatchContention) {
+        compound_smos_.fetch_add(1, std::memory_order_relaxed);
+        std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
+        AcquireCompoundGate(xgate);
+        WalOpScope wal_scope(system_->wal());
+        DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
+        st = system_->Insert(op.oid, op.pos);
       }
-      break;
+      batch_pages_.fetch_add(1, std::memory_order_relaxed);
+      record(op, st);
     }
   }
   ChargeIoLatency(PageStore::thread_io());

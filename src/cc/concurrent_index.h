@@ -5,47 +5,45 @@
 //   1. acquire the DGL lock set (sorted granules => deadlock-free; the
 //      lock manager's wait-die/timeout is a backstop),
 //   2. run the logical operation under tree latching — RAM-speed
-//      critical sections — in one of three latch modes:
+//      critical sections — in one of two latch modes:
 //        * kGlobal: one tree-wide latch (updates exclusive, queries
-//          shared) — the original pipeline, bit-for-bit,
-//        * kSubtree: bottom-up updates X-latch only their planned leaf /
-//          parent pages in a striped page-latch table (extras by
-//          try-latch); window queries couple shared latches over level-1
-//          nodes and leaves; anything needing structure modification
-//          escalates to the tree-wide exclusive latch and retries,
-//        * kCoupled: the tree-wide latch is never taken. Leaf-local
-//          updates run exactly as in subtree mode; escalations
-//          (splits, deep ascents, root inserts) decompose into a
-//          latched bottom-up removal plus RTree::InsertCoupled — a
-//          top-down X-latch-coupled descent that releases ancestors as
-//          soon as the child is split-safe; queries couple shared
-//          latches over every level. The only serialization left is the
-//          compound-SMO drain gate (a writer-priority DrainGate all
-//          coupled operations hold shared), taken exclusively for the rare
-//          operations whose write set cannot be latched up front:
-//          underflow condense with re-insertion, TD's top-down
-//          delete+insert, and starved retries. The split/ascent/insert
-//          machinery itself never drains anyone.
+//          shared) — the paper's DGL baseline, bit-for-bit,
+//        * kCoupled: the tree-wide latch is never taken. Bottom-up
+//          updates plan their leaf (and, for GBU, parent) at zero page
+//          I/O, X-latch exactly those pages in sorted order in a striped
+//          page-latch table (extras by try-latch) and run the strategy's
+//          leaf-local arms; escalations (splits, deep ascents, root
+//          inserts) decompose into a latched bottom-up removal plus
+//          RTree::InsertCoupled — a top-down X-latch-coupled descent
+//          that releases ancestors as soon as the child is split-safe;
+//          queries couple shared latches over every level. The only
+//          serialization left is the compound-SMO drain gate (a
+//          writer-priority DrainGate all coupled operations hold
+//          shared), taken exclusively for the rare operations whose
+//          write set cannot be latched up front: underflow condense with
+//          re-insertion, TD's top-down delete+insert, and starved
+//          retries. The split/ascent/insert machinery itself never
+//          drains anyone.
 //   3. release the latches, then charge the simulated disk latency for
 //      the page I/Os the operation performed *while still holding the
 //      DGL locks* — so conflicting operations serialize their I/O time
 //      exactly as a disk-resident DGL R-tree would. (Alternatively,
 //      io_latency_in_op charges the latency at the PageStore, sleep
 //      model, while page latches are held — the disk-resident regime
-//      where per-subtree latching overlaps I/O stalls.)
+//      where page latching overlaps I/O stalls.)
 //   4. release the locks.
 //
 // Throughput is therefore governed by per-operation I/O counts and
-// granule conflicts — plus, in subtree mode, genuine tree-latch
+// granule conflicts — plus, in coupled mode, genuine page-latch
 // parallelism for the leaf-local updates the paper's bottom-up
 // strategies produce.
 //
 // Deadlock freedom (see docs/ARCHITECTURE.md for the full argument):
-// DGL granules (sorted) → tree latch → page latches (writers: sorted
-// up-front set, try-only extension; readers: blocking only while holding
-// nothing, try-only coupling) → buffer shard latch → PageStore. Every
-// blocking wait is issued either holding nothing at its layer or in
-// globally sorted order, so no cycle can form.
+// DGL granules (sorted) → tree latch or drain gate → page latches
+// (writers: sorted up-front set, try-only extension; readers: blocking
+// only while holding nothing, try-only coupling) → buffer shard latch →
+// PageStore. Every blocking wait is issued either holding nothing at its
+// layer or in globally sorted order, so no cycle can form.
 #pragma once
 
 #include <atomic>
@@ -61,17 +59,19 @@
 
 namespace burtree {
 
-/// How the Figure-8 pipeline latches tree pages.
+/// How the Figure-8 pipeline latches tree pages. The values are pinned:
+/// gtest prints an unnamed enum parameter as its raw bytes, so
+/// BatchEquivalenceTest's test names carry them, and renumbering
+/// kCoupled would rename those tests.
 enum class LatchMode {
-  kGlobal,   ///< one tree-wide latch (original behavior)
-  kSubtree,  ///< per-subtree page latches with tree-wide escalation
-  kCoupled,  ///< top-down latch-coupled descents; no tree-wide latch
+  kGlobal = 0,   ///< one tree-wide latch (original behavior)
+  kCoupled = 2,  ///< top-down latch-coupled descents; no tree-wide latch
 };
 
 const char* LatchModeName(LatchMode mode);
 
-/// Parses "global" / "subtree" / "coupled" (case-sensitive); returns
-/// false and leaves `out` untouched on anything else.
+/// Parses "global" / "coupled" (case-sensitive); returns false and
+/// leaves `out` untouched on anything else.
 bool ParseLatchMode(const std::string& s, LatchMode* out);
 
 /// How coupled-mode window queries read tree pages.
@@ -93,27 +93,23 @@ struct ConcurrencyOptions {
   /// Charge the per-I/O latency at the PageStore (sleep model, incurred
   /// while the operation's latches are held) instead of after the
   /// operation. Models a disk-resident tree where an I/O stalls exactly
-  /// the pages the operation has latched — the regime where subtree
-  /// latching overlaps I/O stalls that the global latch serializes.
+  /// the pages the operation has latched — the regime where coupled
+  /// page latching overlaps I/O stalls that the global latch serializes.
   bool io_latency_in_op = false;
   LatchMode latch_mode = LatchMode::kGlobal;
-  /// Coupled-mode query read path (ignored by the other latch modes,
-  /// whose queries run under the tree-wide latch anyway).
+  /// Coupled-mode query read path (ignored by global mode, whose
+  /// queries run under the tree-wide latch).
   ReadMode read_mode = ReadMode::kLatched;
   /// Stripes in the page-latch table (rounded up to a power of two).
   size_t latch_stripes = LatchTable::kDefaultStripes;
   LockManagerOptions lock;
 };
 
-/// Counters of subtree-/coupled-mode control flow (testing / benches).
-/// In coupled mode `escalated_updates`/`escalated_queries` stay 0 by
-/// construction — the tree-wide latch is never taken; the coupling
-/// torture tests assert exactly that.
+/// Counters of ConcurrentIndex control flow (testing / benches). Global
+/// mode touches only the batch, delete and kNN counts.
 struct LatchModeStats {
-  uint64_t scoped_updates = 0;     ///< updates completed under page latches
-  uint64_t escalated_updates = 0;  ///< updates re-run tree-exclusive
-  uint64_t coupled_queries = 0;    ///< queries completed under coupling
-  uint64_t escalated_queries = 0;  ///< queries re-run tree-exclusive
+  uint64_t scoped_updates = 0;   ///< updates completed under page latches
+  uint64_t coupled_queries = 0;  ///< queries completed under coupling
   /// Coupled mode: updates that left the scoped fast path and ran as a
   /// latched bottom-up removal + latch-coupled insert descent.
   uint64_t coupled_escalations = 0;
@@ -155,9 +151,8 @@ struct LatchModeStats {
   /// must run after its predecessor.
   uint64_t batch_fallbacks = 0;
   /// Deletes completed through ConcurrentIndex::Delete (churn
-  /// scenarios). Every latch mode runs a delete in its exclusive
-  /// section, so this also counts toward escalated_updates (subtree) /
-  /// compound_smos (coupled).
+  /// scenarios). Both latch modes run a delete in their exclusive
+  /// section, so in coupled mode each also counts toward compound_smos.
   uint64_t deletes = 0;
   /// k-NN queries completed through ConcurrentIndex::Knn.
   uint64_t knn_queries = 0;
@@ -191,8 +186,8 @@ class ConcurrentIndex {
   Status Update(ObjectId oid, const Point& from, const Point& to);
 
   /// Thread-safe insert of a new object (the split-storm workload).
-  /// Global/subtree modes take the tree-wide exclusive latch (an insert
-  /// is a structure modification); coupled mode runs the latch-coupled
+  /// Global mode takes the tree-wide exclusive latch (an insert is a
+  /// structure modification); coupled mode runs the latch-coupled
   /// descent and never serializes tree-wide.
   Status Insert(ObjectId oid, const Point& pos);
 
@@ -201,7 +196,7 @@ class ConcurrentIndex {
   /// leaves and re-inserts orphans — a compound structure modification
   /// whose write set cannot be page-latched up front — so every latch
   /// mode runs it in its exclusive section: the tree-wide latch in
-  /// global/subtree mode, the compound-SMO drain gate in coupled mode.
+  /// global mode, the compound-SMO drain gate in coupled mode.
   /// DGL side it is an insert's mirror image: IX root + X on the cell
   /// being vacated, so queries holding S on that cell serialize.
   Status Delete(ObjectId oid, const Point& pos);
@@ -213,19 +208,18 @@ class ConcurrentIndex {
   /// (<= k). The best-first descent's read set is distance-bounded, not
   /// rectangle-bounded, so it cannot pre-declare page latches or DGL
   /// cells: global mode runs it under the shared tree-wide latch
-  /// (updates hold it exclusively), subtree mode takes the tree-wide
-  /// latch exclusively (scoped updates hold it shared with page latches
-  /// underneath), and coupled mode drains through the compound-SMO
-  /// gate. Conservative by construction — the kNN-under-update-storm
-  /// scenario exists to price exactly this serialization; no DGL locks
-  /// are taken (the simulated-I/O serialization DGL provides for
-  /// updates/queries does not apply to the latch-only kNN path).
+  /// (updates hold it exclusively), and coupled mode drains through the
+  /// compound-SMO gate. Conservative by construction — the
+  /// kNN-under-update-storm scenario exists to price exactly this
+  /// serialization; no DGL locks are taken (the simulated-I/O
+  /// serialization DGL provides for updates/queries does not apply to
+  /// the latch-only kNN path).
   StatusOr<size_t> Knn(const Point& query, size_t k);
 
   /// Group execution of a whole update batch (the ingest pool's engine,
   /// also callable directly): ONE DGL acquisition covering the union of
-  /// every op's source/destination cells, then — in subtree/coupled
-  /// mode — the ops are planned, grouped by target leaf, and each leaf
+  /// every op's source/destination cells, then — in coupled mode — the
+  /// ops are planned, grouped by target leaf, and each leaf
   /// group runs under a single PageLatchSet hold + WalOpScope record.
   /// Global mode executes the whole batch as one group under the
   /// tree-wide exclusive latch. Ops whose scoped attempt hits
@@ -238,8 +232,8 @@ class ConcurrentIndex {
   Status UpdateBatch(std::vector<BatchUpdateOp>& ops);
 
   /// Batched inserts: one DGL acquisition for the union of destination
-  /// cells; global/subtree modes run the whole batch under one
-  /// tree-wide latch hold + WAL record, coupled mode runs each insert's
+  /// cells; global mode runs the whole batch under one tree-wide latch
+  /// hold + WAL record, coupled mode runs each insert's
   /// latch-coupled descent (the DGL round trip is the amortized part).
   Status InsertBatch(std::vector<BatchInsertOp>& ops);
 
@@ -254,18 +248,15 @@ class ConcurrentIndex {
 
   Status UpdateGlobal(ObjectId oid, const Point& from, const Point& to,
                       uint64_t* ios);
-  /// Shared leaf-local fast path of the subtree and coupled modes:
-  /// X-latch the plan's pages in sorted order, run UpdateScoped. True
-  /// with `*out` set when the update completed (or failed for real);
-  /// false on LatchContention — nothing mutated, caller escalates.
+  /// Coupled mode's leaf-local fast path: X-latch the plan's pages in
+  /// sorted order, run UpdateScoped. True with `*out` set when the update
+  /// completed (or failed for real); false on LatchContention — nothing
+  /// mutated, caller escalates.
   bool TryScopedUpdate(const UpdatePlan& plan, ObjectId oid,
                        const Point& from, const Point& to, Status* out);
-  Status UpdateSubtree(ObjectId oid, const Point& from, const Point& to,
-                       uint64_t* ios);
   Status UpdateCoupled(ObjectId oid, const Point& from, const Point& to,
                        uint64_t* ios);
   StatusOr<size_t> QueryGlobal(const Rect& window, uint64_t* ios);
-  StatusOr<size_t> QuerySubtree(const Rect& window, uint64_t* ios);
   StatusOr<size_t> QueryCoupled(const Rect& window, uint64_t* ios);
 
   /// Coupled-mode escalation body: latched bottom-up removal at the
@@ -321,10 +312,8 @@ class ConcurrentIndex {
   ConcurrencyOptions options_;
   LockManager lock_manager_;
   SpatialGranules granules_;
-  /// Tree-wide latch. Global mode: updates exclusive, queries shared.
-  /// Subtree mode: leaf-local updates and coupled queries shared (page
-  /// latches underneath), escalated operations exclusive. Untouched in
-  /// coupled mode.
+  /// Tree-wide latch, global mode only: updates, inserts and deletes
+  /// exclusive, queries and kNN shared.
   std::shared_mutex latch_;
   /// Coupled mode's compound-SMO drain gate: every coupled-mode
   /// operation holds it shared for its page-latched phase; the rare
@@ -340,9 +329,7 @@ class ConcurrentIndex {
   LatchTable latch_table_;
   std::atomic<uint64_t> ts_{1};
   std::atomic<uint64_t> scoped_updates_{0};
-  std::atomic<uint64_t> escalated_updates_{0};
   std::atomic<uint64_t> coupled_queries_{0};
-  std::atomic<uint64_t> escalated_queries_{0};
   std::atomic<uint64_t> coupled_escalations_{0};
   std::atomic<uint64_t> coupled_inserts_{0};
   std::atomic<uint64_t> compound_smos_{0};

@@ -1,5 +1,4 @@
-// Page-latch table for per-subtree and latch-coupled concurrency on the
-// Figure-8 path.
+// Page-latch table for the coupled latch mode on the Figure-8 path.
 //
 // A LatchTable is a striped pool of reader/writer latches keyed by page
 // id: pages hash onto a fixed power-of-two number of stripes, each owning
@@ -19,8 +18,8 @@
 //   * Any latch needed beyond the declared set (a sibling chosen during
 //     the operation, LBU's parent discovered from the leaf page) must go
 //     through TryExtendExclusive, which never blocks. Failure means the
-//     caller escalates (subtree mode: to the tree-wide latch; coupled
-//     mode: release everything and restart the descent).
+//     caller gives up the arm, escalates, or releases everything and
+//     restarts the descent.
 //   * Exclusive *coupling* (the coupled insert descent) starts with the
 //     single-page AcquireExclusive(page) — blocking, allowed only while
 //     the set holds nothing — and grows strictly by TryExtendExclusive.

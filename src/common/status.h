@@ -19,7 +19,7 @@ enum class StatusCode {
   kResourceExhausted, ///< Buffer pool full of pinned pages, etc.
   kAborted,         ///< Operation gave up (e.g., lock wait-die abort).
   kUnsupported,     ///< Feature disabled by options.
-  kLatchContention, ///< Subtree-latch path must escalate / retry (cc layer).
+  kLatchContention, ///< Page-latched path must escalate / retry (cc layer).
   kIoError,         ///< Operating-system I/O failure (file backend).
 };
 

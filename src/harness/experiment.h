@@ -45,11 +45,11 @@ struct ExperimentConfig {
   /// real pread/pwrite I/O. See docs/STORAGE.md for how to choose.
   StorageOptions storage;
   /// Tree-latch mode for the concurrent (Figure-8) path: kGlobal is one
-  /// tree-wide latch, kSubtree latches per leaf/parent subtree with
-  /// tree-wide escalation, kCoupled replaces escalation with top-down
-  /// latch-coupled descents (no tree-wide latch at all). Ignored by the
-  /// single-threaded pipeline; RunScenario copies it into the
-  /// ConcurrencyOptions it builds the ConcurrentIndex with.
+  /// tree-wide latch, kCoupled runs leaf-local updates under page
+  /// latches and escalations as top-down latch-coupled descents (no
+  /// tree-wide latch at all). Ignored by the single-threaded pipeline;
+  /// RunScenario copies it into the ConcurrencyOptions it builds the
+  /// ConcurrentIndex with.
   LatchMode latch_mode = LatchMode::kGlobal;
   /// Coupled-mode query read path (`read_mode: latched|optimistic` in a
   /// scenario spec): kOptimistic replaces the S-coupled query descent

@@ -141,7 +141,7 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
       }
     } else if (key == "latch_mode") {
       if (!ParseLatchMode(value, &spec.base.latch_mode)) {
-        return err("unknown latch_mode '" + value + "'");
+        return err("unknown latch_mode '" + value + "' (want global|coupled)");
       }
     } else if (key == "read_mode") {
       if (!ParseReadMode(value, &spec.base.read_mode)) {
@@ -231,10 +231,6 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
       }
     } else if (key == "expect_conservation") {
       if (!ParseBool(value, &spec.expect_conservation)) {
-        return err("bad bool '" + value + "'");
-      }
-    } else if (key == "expect_zero_escalations") {
-      if (!ParseBool(value, &spec.expect_zero_escalations)) {
         return err("bad bool '" + value + "'");
       }
     } else {
@@ -615,14 +611,6 @@ StatusOr<ScenarioResult> RunScenario(const ScenarioSpec& spec) {
     if (!v.ok()) {
       res.check_failures.push_back("validate: " + v.ToString());
     }
-  }
-  if (spec.expect_zero_escalations &&
-      (res.latch_stats.escalated_updates != 0 ||
-       res.latch_stats.escalated_queries != 0)) {
-    res.check_failures.push_back(
-        "escalations: " +
-        std::to_string(res.latch_stats.escalated_updates) + " updates, " +
-        std::to_string(res.latch_stats.escalated_queries) + " queries");
   }
   if (spec.expect_min_tps > 0 && res.tps < spec.expect_min_tps) {
     res.check_failures.push_back(

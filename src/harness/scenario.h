@@ -28,7 +28,6 @@
 //   skew: hotspot
 //   hot_fraction: 0.05
 //   hot_prob: 0.9
-//   expect_zero_escalations: true
 //
 // Determinism contract: with duration_s == 0 (op-bound) every op-kind
 // count is a pure function of the seed — op selection, skewed picks and
@@ -88,9 +87,6 @@ struct ScenarioSpec {
   /// Final population == objects + inserts - deletes, counted by a
   /// full-space window query on the quiesced tree.
   bool expect_conservation = true;
-  /// escalated_updates == escalated_queries == 0 (coupled-mode
-  /// guarantee; subtree-mode scenarios asserting pure leaf-locality).
-  bool expect_zero_escalations = false;
   /// Floor on the measured throughput (0 disables; keep conservative —
   /// this is a same-machine sanity floor, not the regression gate).
   double expect_min_tps = 0.0;

@@ -1271,35 +1271,4 @@ Status RTree::QueryOptimistic(const Rect& window, const QueryCallback& cb,
   }
 }
 
-Status RTree::Query(const Rect& window, const QueryCallback& cb,
-                    TraversalLatchHooks* hooks) {
-  if (hooks == nullptr) return Query(window, cb);
-  struct Ref {
-    PageId page;
-    Level level;
-  };
-  std::vector<Ref> stack{{root(), root_level()}};
-  std::vector<LeafEntry> matches;
-  while (!stack.empty()) {
-    const Ref ref = stack.back();
-    stack.pop_back();
-    if (ref.level >= 2) {
-      // Immutable under the caller's shared tree latch: read latch-free.
-      PageGuard g = PageGuard::Fetch(pool_, ref.page);
-      NodeView v = View(g);
-      for (uint32_t i = 0; i < v.count(); ++i) {
-        const InternalEntry e = v.internal_entry(i);
-        if (e.rect.Intersects(window)) {
-          stack.push_back(Ref{e.child, ref.level - 1});
-        }
-      }
-      continue;
-    }
-    BURTREE_RETURN_IF_ERROR(
-        QuerySubtreeCoupled(ref.page, window, hooks, &matches));
-  }
-  for (const LeafEntry& e : matches) cb(e.oid, e.rect);
-  return Status::OK();
-}
-
 }  // namespace burtree

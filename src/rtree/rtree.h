@@ -252,10 +252,9 @@ class RTree {
   /// current root-to-node path. Matches are buffered and emitted only on
   /// a complete consistent pass; any try-latch failure returns
   /// Status::LatchContention (nothing emitted) and the caller restarts.
-  /// Unlike the subtree-mode Query(hooks) overload, *every* level is
-  /// latched — in coupled mode internal nodes are mutated under page
-  /// latches, not under a tree-wide latch, so latch-free upper levels
-  /// would race concurrent splits.
+  /// *Every* level is latched — in coupled mode internal nodes are
+  /// mutated under page latches, not under a tree-wide latch, so
+  /// latch-free upper levels would race concurrent splits.
   Status QueryCoupled(const Rect& window, const QueryCallback& cb,
                       TraversalLatchHooks* hooks);
 
@@ -284,22 +283,6 @@ class RTree {
   Status QueryOptimisticSubtree(PageId page, const Rect& window,
                                 VersionLatchHooks* hooks,
                                 std::vector<LeafEntry>* out, int* budget);
-
-  /// Window query with shared latch-coupling (subtree latch mode).
-  /// Levels >= 2 are traversed latch-free — they are only mutated under
-  /// the tree-wide exclusive latch, which the caller excludes by holding
-  /// the tree latch shared. Level-1 nodes and leaves race with leaf-local
-  /// updaters, so each level-1 subtree is processed atomically: S-latch
-  /// the parent, then each overlapping leaf via try-latch *while the
-  /// parent latch is held* (a sibling shift holds the parent exclusively,
-  /// so an entry can never hop between two leaves mid-scan). Matches are
-  /// buffered per parent and emitted only once the subtree succeeded, so
-  /// a retry never double-reports. Returns Status::LatchContention when
-  /// a subtree stays contended past the retry budget; the caller then
-  /// escalates to the tree-wide latch. `hooks == nullptr` degrades to the
-  /// plain traversal.
-  Status Query(const Rect& window, const QueryCallback& cb,
-               TraversalLatchHooks* hooks);
 
   /// k-nearest-neighbor result entry.
   struct Neighbor {
@@ -347,9 +330,12 @@ class RTree {
 
   /// Latch-coupled scan of one level<=1 subtree (a level-1 node and its
   /// leaves, or a root leaf) with bounded retries: S-latch the parent,
-  /// try-S each overlapping leaf while the parent latch is held, buffer
-  /// matches, emit only on a consistent pass. Used by the hooks overload
-  /// of Query() and by the summary-assisted QueryExecutor path.
+  /// try-S each overlapping leaf while the parent latch is held (a
+  /// sibling shift holds the parent exclusively, so an entry can never
+  /// hop between two leaves mid-scan), buffer matches, emit only on a
+  /// consistent pass. Used by the summary-pruned plan of
+  /// QueryExecutor::QueryCoupled; Status::LatchContention when the
+  /// subtree stays contended past the retry budget.
   Status QuerySubtreeCoupled(PageId page, const Rect& window,
                              TraversalLatchHooks* hooks,
                              std::vector<LeafEntry>* out);

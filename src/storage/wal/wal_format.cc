@@ -182,7 +182,10 @@ void EncodeWalRecord(const WalRecord& rec, const WalPageImage* images,
       payload += e.length;
     }
     BURTREE_CHECK(payload == img.bytes.size());
-    std::memcpy(p, img.bytes.data(), payload);
+    // A page re-dirtied without a byte change diffs to a delta with no
+    // extents, whose empty payload may have a null data(): memcpy's
+    // source must be non-null even for zero bytes.
+    if (payload > 0) std::memcpy(p, img.bytes.data(), payload);
     p += payload;
   }
   BURTREE_DCHECK(p == out->data() + out->size());

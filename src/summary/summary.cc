@@ -34,13 +34,6 @@ std::optional<Rect> SummaryStructure::NodeMbr(PageId page) const {
   return it->second.mbr;
 }
 
-std::vector<PageId> SummaryStructure::ChildrenOf(PageId page) const {
-  std::shared_lock lock(mu_);
-  auto it = internal_.find(page);
-  if (it == internal_.end()) return {};
-  return it->second.children;
-}
-
 PageId SummaryStructure::ParentOf(PageId node) const {
   std::shared_lock lock(mu_);
   auto it = internal_.find(node);

@@ -57,11 +57,6 @@ class SummaryStructure : public TreeObserver {
   /// Parent of `node` (internal or leaf; kInvalidPageId for the root).
   PageId ParentOf(PageId node) const;
 
-  /// Children of internal node `page` (copy; empty when not tracked).
-  /// Lets GBU's escalation warming predict a ChooseSubtree descent from
-  /// the table alone.
-  std::vector<PageId> ChildrenOf(PageId page) const;
-
   /// True when the leaf has no free entry slot (the bit vector).
   bool LeafIsFull(PageId leaf) const;
   /// Leaves currently tracked by the bit vector.

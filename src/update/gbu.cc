@@ -55,8 +55,9 @@ bool GeneralizedBottomUpStrategy::TryExtend(PageGuard& leaf_guard,
   // Parent MBR comes from the direct access table: zero I/O (§3.2).
   const PageId parent_id = summary->ParentOf(leaf_id);
   if (parent_id == kInvalidPageId) return false;
-  // Subtree latch mode: the parent was declared in the plan and latched
-  // up front; a mismatch means the plan went stale — give up the arm.
+  // Scoped (coupled-mode) update: the parent was declared in the plan and
+  // latched up front; a mismatch means the plan went stale — give up the
+  // arm.
   if (scope != nullptr && !scope->Covers(parent_id)) return false;
   const auto parent_mbr = summary->NodeMbr(parent_id);
   if (!parent_mbr.has_value()) return false;
@@ -386,53 +387,6 @@ bool GeneralizedBottomUpStrategy::TryScopedParentAscend(
   return true;
 }
 
-PageId GeneralizedBottomUpStrategy::PredictEscalationDest(
-    UpdateLatchScope& scope, const UpdatePlan& plan, ObjectId oid,
-    const Point& old_pos, const Point& new_pos) {
-  (void)oid;
-  (void)old_pos;
-  RTree& tree = system_->tree();
-  SummaryStructure* summary = system_->summary();
-  const Rect new_rect = IndexSystem::PointRect(new_pos);
-  if (!plan.leaf_local) return kInvalidPageId;
-
-  const uint32_t max_levels =
-      options_.level_threshold == GbuOptions::kLevelThresholdMax
-          ? tree.root_level()
-          : options_.level_threshold;
-  const auto anc =
-      summary->FindAncestorContaining(plan.leaf, new_pos, max_levels);
-  if (!anc.has_value()) return kInvalidPageId;  // root-rooted re-insert
-
-  // Least-enlargement descent over the direct access table (child covers
-  // approximate the routing rects ChooseSubtree will consult) down to
-  // the level-1 node above the probable destination.
-  PageId node = anc->path_from_root.back();
-  Level level = anc->ancestor_level;
-  while (level > 1) {
-    // Children here are internal (level >= 1), so the table has them.
-    const std::vector<PageId> children = summary->ChildrenOf(node);
-    const uint32_t best = LeastEnlargementIndex(
-        static_cast<uint32_t>(children.size()), new_rect,
-        [&](uint32_t i) { return summary->NodeMbr(children[i]); });
-    if (best == children.size()) return kInvalidPageId;
-    node = children[best];
-    --level;
-  }
-
-  // Reading the level-1 node's entries races leaf-local writers, so it
-  // needs the latch; try-only, and skip warming when contended.
-  if (!scope.Covers(node) && !scope.TryExtend(node)) return kInvalidPageId;
-  PageGuard pg = PageGuard::Fetch(tree.pool(), node);
-  NodeView pv(pg.data(), tree.options().page_size,
-              tree.options().parent_pointers);
-  if (pv.is_leaf() || pv.count() == 0) return kInvalidPageId;
-  const uint32_t best = LeastEnlargementIndex(
-      pv.count(), new_rect,
-      [&](uint32_t i) { return std::optional<Rect>(pv.entry_rect(i)); });
-  return pv.internal_entry(best).child;
-}
-
 UpdatePlan GeneralizedBottomUpStrategy::PlanUpdate(ObjectId oid,
                                                    const Point& old_pos,
                                                    const Point& new_pos) {
@@ -470,7 +424,7 @@ StatusOr<UpdateResult> GeneralizedBottomUpStrategy::UpdateScoped(
   const int slot = leaf.FindOidSlot(oid);
   if (slot < 0) {
     // The object was piggybacked to a sibling between planning and
-    // latching: re-run under the tree-wide latch.
+    // latching: escalate.
     return Status::LatchContention("object moved after planning");
   }
 
@@ -507,9 +461,7 @@ StatusOr<UpdateResult> GeneralizedBottomUpStrategy::UpdateScoped(
   }
 
   // Deeper ascents / root insert / top-down modify structure along an
-  // arbitrary path — escalate before touching anything. The caller asks
-  // PredictEscalationDest afterwards (with all latches released) so the
-  // re-run's destination can be warmed without serializing anyone.
+  // arbitrary path — escalate before touching anything.
   return Status::LatchContention("needs ascent or top-down");
 }
 

@@ -39,17 +39,6 @@ class GeneralizedBottomUpStrategy final : public UpdateStrategy {
                                       const Point& old_pos,
                                       const Point& new_pos) override;
 
-  /// Escalation warming: predict the tree-exclusive re-run's destination
-  /// leaf (FindParent, then a least-enlargement descent over the direct
-  /// access table; the level-1 node is probe-read under a try-latch from
-  /// the fresh `scope`). The caller fetches the returned page with no
-  /// latches held, so the I/O stall overlaps other threads instead of
-  /// serializing under the tree-wide latch. Best-effort; never mutates.
-  PageId PredictEscalationDest(UpdateLatchScope& scope,
-                               const UpdatePlan& plan, ObjectId oid,
-                               const Point& old_pos,
-                               const Point& new_pos) override;
-
   /// Escalations (deep ascents, root inserts) are a bottom-up removal
   /// plus a root insert, which the coupled latch mode runs under page
   /// latches instead of the tree-wide latch.
@@ -77,15 +66,15 @@ class GeneralizedBottomUpStrategy final : public UpdateStrategy {
 
   /// The committed shift: move the entry (and piggybacked cohabitants)
   /// from `leaf` into `sib`, tighten the source, refresh both routing
-  /// entries. All three pages are pinned (and, in subtree mode, latched)
-  /// by the caller.
+  /// entries. All three pages are pinned (and, on the scoped path,
+  /// X-latched) by the caller.
   void DoSiblingShift(PageGuard& leaf_guard, NodeView& leaf,
                       PageGuard& parent_guard, NodeView& parent,
                       PageGuard& sib_guard, NodeView& sib,
                       const InternalEntry& chosen, ObjectId oid,
                       const Point& new_pos);
 
-  /// Scoped one-level bounded ascent (subtree latch mode only): when
+  /// Scoped one-level bounded ascent (UpdateScoped only): when
   /// FindParent would stop at the leaf's own parent — i.e. the parent
   /// MBR contains the new position — the re-insert's ChooseSubtree
   /// descent stays inside the latched subtree. Replicates

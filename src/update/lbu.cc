@@ -146,7 +146,7 @@ StatusOr<UpdateResult> LocalizedBottomUpStrategy::UpdateScoped(
   const int slot = leaf.FindOidSlot(oid);
   if (slot < 0) {
     // The object left this leaf between planning and latching (another
-    // update relocated it): re-run under the tree-wide latch.
+    // update relocated it): escalate.
     return Status::LatchContention("object moved after planning");
   }
 

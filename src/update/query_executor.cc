@@ -84,8 +84,7 @@ StatusOr<size_t> QueryExecutor::QueryOptimistic(const Rect& window,
 }
 
 StatusOr<size_t> QueryExecutor::Query(const Rect& window,
-                                      const RTree::QueryCallback& cb,
-                                      TraversalLatchHooks* hooks) {
+                                      const RTree::QueryCallback& cb) {
   RTree& tree = system_->tree();
   size_t matches = 0;
   auto count_cb = [&](ObjectId oid, const Rect& r) {
@@ -94,27 +93,14 @@ StatusOr<size_t> QueryExecutor::Query(const Rect& window,
   };
 
   if (!use_summary_ || tree.root_level() < 1) {
-    BURTREE_RETURN_IF_ERROR(tree.Query(window, count_cb, hooks));
+    BURTREE_RETURN_IF_ERROR(tree.Query(window, count_cb));
     return matches;
   }
 
-  // Plan in memory: which parents-of-leaves overlap the window. The
-  // internal-node table is stable under the shared tree latch (leaf-local
-  // updaters never change internal MBRs), so the plan cannot go stale.
+  // Plan in memory: which parents-of-leaves overlap the window. Writers
+  // are excluded for the whole call, so the plan cannot go stale.
   const std::vector<PageId> parents =
       system_->summary()->OverlappingLeafParents(window);
-
-  if (hooks != nullptr) {
-    // Subtree latch mode: scan each planned parent's subtree under
-    // coupled shared latches (see RTree::QuerySubtreeCoupled).
-    std::vector<LeafEntry> found;
-    for (PageId parent : parents) {
-      BURTREE_RETURN_IF_ERROR(
-          tree.QuerySubtreeCoupled(parent, window, hooks, &found));
-    }
-    for (const LeafEntry& e : found) count_cb(e.oid, e.rect);
-    return matches;
-  }
 
   BufferPool* pool = tree.pool();
   const TreeOptions& opts = tree.options();

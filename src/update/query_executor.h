@@ -16,14 +16,11 @@ class QueryExecutor {
   QueryExecutor(IndexSystem* system, bool use_summary);
 
   /// Runs the window query; returns the number of matches. `cb` may be
-  /// null when only the count matters. `hooks` (subtree latch mode)
-  /// makes the traversal couple shared page latches over level-1 nodes
-  /// and leaves — both in the plain descent and in the summary-pruned
-  /// plan; it may return Status::LatchContention, which the cc layer
-  /// handles by escalating to the tree-wide latch.
+  /// null when only the count matters. Takes no latches, so concurrent
+  /// callers must exclude writers (ConcurrentIndex holds the global tree
+  /// latch shared, or the compound-SMO gate exclusively).
   StatusOr<size_t> Query(const Rect& window,
-                         const RTree::QueryCallback& cb = nullptr,
-                         TraversalLatchHooks* hooks = nullptr);
+                         const RTree::QueryCallback& cb = nullptr);
 
   /// One attempt at a fully latch-coupled query (coupled latch mode).
   /// With `pruned` (and a summary attached), the summary plans the

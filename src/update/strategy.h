@@ -61,10 +61,11 @@ struct UpdatePathCounts {
 
 /// The page set a bottom-up update intends to touch, reported *before*
 /// any page latch is taken so the cc layer can acquire exclusive latches
-/// in sorted order prior to the operation's I/O (subtree latch mode).
+/// in sorted order prior to the operation's I/O (coupled latch mode).
 struct UpdatePlan {
-  /// False: the operation needs the tree-wide exclusive latch (top-down
-  /// strategies, root-containment failures, unknown object).
+  /// False: the operation cannot run leaf-local and goes straight to
+  /// the escalation (top-down strategies, root-containment failures,
+  /// unknown object).
   bool leaf_local = false;
   /// Leaf currently holding the object, from the secondary oid index.
   /// The lookup's cost-model I/O is charged during planning; UpdateScoped
@@ -78,22 +79,20 @@ struct UpdatePlan {
   /// zero I/O — GBU reads the summary's fullness bit vector) that the
   /// leaf still has a free entry slot, so no arm of the scoped update
   /// can overflow it. False means unknown or full (LBU has no bit
-  /// vector and always reports false). The cc layer uses it in coupled
-  /// mode to skip the escalation-warming probe — a split-risky update
-  /// that escalates re-runs under page latches anyway — and surfaces it
-  /// as the split_unsafe_plans counter.
+  /// vector and always reports false). The cc layer only counts it, as
+  /// the split_unsafe_plans counter.
   bool split_safe = false;
 };
 
-/// Page-latch scope a subtree-mode update runs under. Implemented by the
-/// cc layer over its striped latch table; strategies use it to confine
-/// page writes to latched pages and to opportunistically grow the scope.
+/// Page-latch scope a scoped (coupled-mode) update runs under.
+/// Implemented by the cc layer over its striped latch table; strategies
+/// use it to confine page writes to latched pages and to
+/// opportunistically grow the scope.
 ///
 /// Contract: TryExtend never blocks. A false return means the operation
 /// must give up the arm that needed the page (or return
-/// Status::LatchContention so the caller escalates to the tree-wide
-/// latch) — waiting here could deadlock against sorted writer
-/// acquisition.
+/// Status::LatchContention so the caller escalates) — waiting here could
+/// deadlock against sorted writer acquisition.
 class UpdateLatchScope {
  public:
   virtual ~UpdateLatchScope() = default;
@@ -111,12 +110,13 @@ class UpdateLatchScope {
 /// bound to one IndexSystem for its lifetime.
 ///
 /// Thread-safety: Update() mutates the tree and the oid index and is NOT
-/// internally synchronized — concurrent callers must hold the tree-wide
-/// exclusive latch (see ConcurrentIndex). UpdateScoped() is the
-/// subtree-latch-mode entry point: it may run concurrently from many
-/// threads *provided* each caller holds exclusive page latches covering
-/// its UpdatePlan (plus the tree-wide latch in shared mode). Path
-/// counters are internally synchronized either way.
+/// internally synchronized — concurrent callers must exclude every other
+/// writer and reader (ConcurrentIndex holds the tree-wide latch
+/// exclusively in global mode, the compound-SMO gate exclusively in
+/// coupled mode). UpdateScoped() is the coupled-mode entry point: it may
+/// run concurrently from many threads *provided* each caller holds
+/// exclusive page latches covering its UpdatePlan (plus the compound-SMO
+/// gate shared). Path counters are internally synchronized either way.
 class UpdateStrategy {
  public:
   virtual ~UpdateStrategy() = default;
@@ -129,7 +129,7 @@ class UpdateStrategy {
   /// Reports the page set this update would touch if it stays
   /// leaf-local. Reads only the secondary index / summary (never tree
   /// pages, which would race). Default: not leaf-local, i.e. the caller
-  /// must take the tree-wide latch.
+  /// escalates.
   virtual UpdatePlan PlanUpdate(ObjectId oid, const Point& old_pos,
                                 const Point& new_pos) {
     (void)oid;
@@ -142,7 +142,8 @@ class UpdateStrategy {
   /// `scope` (the plan's pages are pre-latched; extras via TryExtend).
   /// Returns Status::LatchContention — before mutating anything — when
   /// the update needs structure modifications or unlatchable pages; the
-  /// caller then re-runs Update() under the tree-wide exclusive latch.
+  /// caller then escalates (a latched removal plus a coupled insert, or
+  /// Update() under the exclusive compound-SMO gate).
   virtual StatusOr<UpdateResult> UpdateScoped(UpdateLatchScope& scope,
                                               const UpdatePlan& plan,
                                               ObjectId oid,
@@ -156,12 +157,14 @@ class UpdateStrategy {
     return Status::LatchContention("strategy has no leaf-local path");
   }
 
-  /// After UpdateScoped escalated: predict the page the tree-exclusive
-  /// re-run will most likely stall on (GBU: the re-insert's destination
-  /// leaf, from a summary-table descent) so the caller can pull it into
-  /// the buffer pool *before* serializing. `scope` is a fresh, empty
-  /// latch scope for any probe reads the prediction needs (try-only).
-  /// Best-effort: kInvalidPageId means nothing worth warming.
+  /// After UpdateScoped escalated: predict the page the escalation will
+  /// most likely stall on, so a caller can pull it into the buffer pool
+  /// first. `scope` is a fresh, empty latch scope for any probe reads
+  /// the prediction needs (try-only). Best-effort: kInvalidPageId means
+  /// nothing worth warming. No library code calls it and no library
+  /// strategy overrides it; it stays because perfbench's TracingStrategy
+  /// overrides every virtual to time it, and that driver must keep
+  /// building unchanged.
   virtual PageId PredictEscalationDest(UpdateLatchScope& scope,
                                        const UpdatePlan& plan, ObjectId oid,
                                        const Point& old_pos,

@@ -142,10 +142,8 @@ INSTANTIATE_TEST_SUITE_P(
                         LatchMode::kGlobal, ReadMode::kLatched),
         std::make_tuple(StrategyKind::kGeneralizedBottomUp,
                         LatchMode::kGlobal, ReadMode::kLatched),
-        std::make_tuple(StrategyKind::kGeneralizedBottomUp,
-                        LatchMode::kSubtree, ReadMode::kLatched),
         std::make_tuple(StrategyKind::kLocalizedBottomUp,
-                        LatchMode::kSubtree, ReadMode::kLatched),
+                        LatchMode::kCoupled, ReadMode::kLatched),
         std::make_tuple(StrategyKind::kGeneralizedBottomUp,
                         LatchMode::kCoupled, ReadMode::kLatched),
         std::make_tuple(StrategyKind::kGeneralizedBottomUp,
@@ -154,8 +152,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BatchInsertTest, InsertBatchMatchesPerOpInserts) {
   constexpr uint64_t kObjects = 1500;
   constexpr uint64_t kNew = 400;
-  for (LatchMode mode :
-       {LatchMode::kGlobal, LatchMode::kSubtree, LatchMode::kCoupled}) {
+  for (LatchMode mode : {LatchMode::kGlobal, LatchMode::kCoupled}) {
     BatchWorld per_op(StrategyKind::kGeneralizedBottomUp, mode,
                       ReadMode::kLatched, kObjects);
     BatchWorld batched(StrategyKind::kGeneralizedBottomUp, mode,
@@ -193,10 +190,10 @@ TEST(BatchCounterTest, BatchingAmortizesDglAcquisitions) {
   // batch covers at most 65 locks where per-op pays ~150.
   constexpr uint32_t kGridBits = 3;
   BatchWorld per_op(StrategyKind::kGeneralizedBottomUp,
-                    LatchMode::kSubtree, ReadMode::kLatched, kObjects,
+                    LatchMode::kCoupled, ReadMode::kLatched, kObjects,
                     kGridBits);
   BatchWorld batched(StrategyKind::kGeneralizedBottomUp,
-                     LatchMode::kSubtree, ReadMode::kLatched, kObjects,
+                     LatchMode::kCoupled, ReadMode::kLatched, kObjects,
                      kGridBits);
   const auto moves = MakeMoves(*per_op.workload, kObjects, kMoves);
 
@@ -230,7 +227,7 @@ TEST(BatchCounterTest, BatchingAmortizesDglAcquisitions) {
 
 TEST(BatchApiTest, DglFailureStampsEveryOpAndMutatesNothing) {
   // An empty batch is a no-op success.
-  BatchWorld w(StrategyKind::kGeneralizedBottomUp, LatchMode::kSubtree,
+  BatchWorld w(StrategyKind::kGeneralizedBottomUp, LatchMode::kCoupled,
                ReadMode::kLatched, 500);
   std::vector<BatchUpdateOp> empty;
   EXPECT_TRUE(w.index->UpdateBatch(empty).ok());

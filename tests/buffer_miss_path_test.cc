@@ -235,12 +235,12 @@ TEST(BufferMissPathTest, MissInFlightStressKeepsFramesConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// DeletePage vs. a transient no-latch pin. Escalation warming and
-// optimistic snapshot copies pin a page while holding no tree latch, so
-// a structural delete (leaf condense, root shrink) can catch the page
-// momentarily pinned. DeletePage must wait the pin out, not fail the
-// whole update with InvalidArgument (the schedule-fuzz GBU/subtree
-// flake this reproduces deterministically).
+// DeletePage vs. a transient no-latch pin. Optimistic snapshot copies
+// pin a page while holding no latch on it, so a structural delete (leaf
+// condense, root shrink) can catch the page momentarily pinned.
+// DeletePage must wait the pin out, not fail the whole update with
+// InvalidArgument (a schedule-fuzz flake this reproduces
+// deterministically).
 // ---------------------------------------------------------------------------
 
 TEST(BufferMissPathTest, DeletePageWaitsOutTransientPin) {
@@ -248,7 +248,7 @@ TEST(BufferMissPathTest, DeletePageWaitsOutTransientPin) {
   for (int i = 0; i < 4; ++i) file.Allocate();
   BufferPool pool(&file, /*capacity=*/4, /*shards=*/1);
 
-  auto res = pool.FetchPage(2);  // the "warming" pin
+  auto res = pool.FetchPage(2);  // the transient no-latch pin
   ASSERT_TRUE(res.ok());
 
   std::atomic<bool> deleted{false};

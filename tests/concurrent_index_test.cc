@@ -127,7 +127,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          StrategyKind::kLocalizedBottomUp,
                                          StrategyKind::kGeneralizedBottomUp),
                        ::testing::Values(LatchMode::kGlobal,
-                                         LatchMode::kSubtree,
                                          LatchMode::kCoupled)),
     [](const auto& info) {
       return std::string(StrategyName(std::get<0>(info.param))) + "_" +

@@ -1,12 +1,12 @@
-// Concurrency torture tests for the coupled latch mode: the tree-wide
-// escalation latch is gone, so correctness under split storms rests
+// Concurrency torture tests for the coupled latch mode: no tree-wide
+// latch exists on this path, so correctness under split storms rests
 // entirely on the top-down X-latch-coupled descent (release ancestors
 // when the child is split-safe, reserve split pages before mutating) and
 // the bottom-up remove + coupled re-insert escalation. These tests force
 // continuous structure modifications on a tiny-fanout tree from many
-// threads and then audit every invariant — plus the headline counters:
-// zero tree-wide escalations, and coupled beating subtree throughput on
-// an escalation-heavy mix.
+// threads and then audit every invariant — plus the headline counters,
+// and coupled beating the global latch's throughput on an
+// escalation-heavy mix.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -83,13 +83,10 @@ TEST_P(SplitStormTest, ConcurrentInsertStormStaysConsistent) {
   EXPECT_GT(after.internal_splits, before.internal_splits);
   EXPECT_GT(after.root_grows, 0u);
 
-  // The headline counter: not one operation took a tree-wide latch. The
-  // compound-gate fallback (an insert starved past its 64-descent retry
-  // budget) is legal by design but must stay a rounding error — every
-  // insert is accounted for either way.
+  // The headline counter: the compound-gate fallback (an insert starved
+  // past its 64-descent retry budget) is legal by design but must stay a
+  // rounding error — every insert is accounted for either way.
   const LatchModeStats ls = index.latch_stats();
-  EXPECT_EQ(ls.escalated_updates, 0u);
-  EXPECT_EQ(ls.escalated_queries, 0u);
   EXPECT_EQ(ls.coupled_inserts + ls.compound_smos, kThreads * kPerThread);
   EXPECT_LE(ls.compound_smos, kThreads * kPerThread / 100);
 
@@ -161,8 +158,6 @@ TEST(CoupledEscalationStormTest, GlobalJumpsNeverTakeTreeLatch) {
   const LatchModeStats ls = index.latch_stats();
   EXPECT_GT(ls.coupled_escalations, 0u);  // the jumps left the fast path
   EXPECT_GT(ls.split_unsafe_plans, 0u);   // the bit vector saw full leaves
-  EXPECT_EQ(ls.escalated_updates, 0u);    // ...but never tree-wide
-  EXPECT_EQ(ls.escalated_queries, 0u);
 
   IndexSystem& sys = *fx.system;
   EXPECT_TRUE(sys.tree().Validate().ok());
@@ -223,10 +218,7 @@ TEST(CoupledReaderWriterTortureTest, QueriesDuringSplitStorm) {
   ASSERT_TRUE(ok.load());
 
   const uint64_t total = next_oid.load();
-  const LatchModeStats ls = index.latch_stats();
-  EXPECT_EQ(ls.escalated_updates, 0u);
-  EXPECT_EQ(ls.escalated_queries, 0u);
-  EXPECT_GT(ls.coupled_queries, 0u);
+  EXPECT_GT(index.latch_stats().coupled_queries, 0u);
 
   IndexSystem& sys = *fx.system;
   EXPECT_TRUE(sys.tree().Validate().ok());
@@ -234,11 +226,11 @@ TEST(CoupledReaderWriterTortureTest, QueriesDuringSplitStorm) {
   EXPECT_EQ(testutil::FullSpaceCount(sys), total);
 }
 
-// The performance claim behind the refactor: on an escalation-heavy
-// update mix with in-op I/O latency, subtree mode serializes every
-// escalation under the tree-wide latch while coupled mode overlaps them
-// under page latches — coupled must come out ahead.
-TEST(CoupledThroughputTest, CoupledBeatsSubtreeOnEscalationHeavyUpdates) {
+// The performance claim behind coupled mode: on an escalation-heavy
+// update mix with in-op I/O latency, global mode serializes every update
+// and its I/O stalls under the tree-wide latch while coupled mode
+// overlaps them under page latches — coupled must come out ahead.
+TEST(CoupledThroughputTest, CoupledBeatsGlobalOnEscalationHeavyUpdates) {
   ScenarioSpec mk;
   mk.base.workload.num_objects = 4000;
   mk.base.workload.max_move_distance = 0.3;  // global jumps: escalations
@@ -255,7 +247,7 @@ TEST(CoupledThroughputTest, CoupledBeatsSubtreeOnEscalationHeavyUpdates) {
         return testutil::MustRunTps(mk);
       },
       [&]() {
-        mk.base.latch_mode = LatchMode::kSubtree;
+        mk.base.latch_mode = LatchMode::kGlobal;
         return testutil::MustRunTps(mk);
       }));
 }

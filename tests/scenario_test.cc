@@ -55,7 +55,6 @@ io_latency_us: 42
 io_latency_in_op: true
 expect_validate: false
 expect_conservation: false
-expect_zero_escalations: true
 expect_min_tps: 100.5
 )";
   auto spec = ParseScenario(text, "fallback");
@@ -93,7 +92,6 @@ expect_min_tps: 100.5
   EXPECT_TRUE(s.io_latency_in_op);
   EXPECT_FALSE(s.expect_validate);
   EXPECT_FALSE(s.expect_conservation);
-  EXPECT_TRUE(s.expect_zero_escalations);
   EXPECT_DOUBLE_EQ(s.expect_min_tps, 100.5);
 }
 
@@ -119,6 +117,25 @@ TEST(ScenarioParseTest, RejectsMalformedSpecs) {
   // Bad enum values.
   EXPECT_FALSE(ParseScenario("strategy: BFS\n", "x").ok());
   EXPECT_FALSE(ParseScenario("latch_mode: hopeful\n", "x").ok());
+  // A removed latch mode and a removed key fail with their line number.
+  const struct {
+    const char* text;
+    const char* what;
+    const char* line;
+  } removed[] = {
+      {"threads: 2\nlatch_mode: subtree\n", "(want global|coupled)",
+       "line 2"},
+      {"expect_zero_escalations: true\n", "unknown key", "line 1"},
+  };
+  for (const auto& c : removed) {
+    auto spec = ParseScenario(c.text, "x");
+    ASSERT_FALSE(spec.ok()) << c.text;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(spec.status().message().find(c.what), std::string::npos)
+        << spec.status().ToString();
+    EXPECT_NE(spec.status().message().find(c.line), std::string::npos)
+        << spec.status().ToString();
+  }
   EXPECT_FALSE(ParseScenario("skew: volcano\n", "x").ok());
   EXPECT_FALSE(ParseScenario("wal: maybe\n", "x").ok());
   // Mix over 100%.
@@ -309,8 +326,7 @@ ScenarioSpec SmallSpec() {
 }
 
 TEST(RunScenarioTest, ChurnConservationAcrossLatchModes) {
-  for (LatchMode mode :
-       {LatchMode::kGlobal, LatchMode::kSubtree, LatchMode::kCoupled}) {
+  for (LatchMode mode : {LatchMode::kGlobal, LatchMode::kCoupled}) {
     ScenarioSpec spec = SmallSpec();
     spec.base.strategy = StrategyKind::kGeneralizedBottomUp;
     spec.base.latch_mode = mode;
@@ -364,7 +380,7 @@ TEST(RunScenarioTest, FailedChecksAreReportedNotFatal) {
 TEST(RunScenarioTest, IngestPoolRoutesWritesAndBalances) {
   ScenarioSpec spec = SmallSpec();
   spec.base.strategy = StrategyKind::kGeneralizedBottomUp;
-  spec.base.latch_mode = LatchMode::kSubtree;
+  spec.base.latch_mode = LatchMode::kCoupled;
   spec.base.ingest.workers = 2;
   spec.base.ingest.max_batch = 16;
   spec.update_pct = 50;

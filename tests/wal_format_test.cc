@@ -257,6 +257,42 @@ TEST(WalFormatTest, DiffedDeltaAppliesBackToTheAfterImage) {
   }
 }
 
+TEST(WalFormatTest, EmptyDeltaRoundTrips) {
+  // A page re-dirtied without a byte change diffs to a delta with zero
+  // extents and an empty payload; encoding it must not hand memcpy a
+  // null source, and the decoded image must leave the page unchanged.
+  Rng rng(4242);
+  std::vector<uint8_t> page(kPageSize);
+  for (auto& b : page) b = static_cast<uint8_t>(rng.Next());
+  const std::vector<uint8_t> same = page;
+  WalRecord rec;
+  rec.images.emplace_back();
+  DiffWalPageImage(page.data(), same.data(), kPageSize, /*id=*/3,
+                   &rec.images[0]);
+  ASSERT_TRUE(rec.images[0].delta);
+  EXPECT_TRUE(rec.images[0].extents.empty());
+
+  std::vector<uint8_t> bytes;
+  EncodeWalRecord(rec, kPageSize, /*lsn=*/64, &bytes);
+  ASSERT_EQ(bytes.size(), WalRecordEncodedSize(rec, kPageSize));
+  WalRecord out;
+  size_t consumed = 0;
+  ASSERT_EQ(DecodeWalRecord(bytes.data(), bytes.size(), kPageSize,
+                            /*lsn=*/64, &out, &consumed),
+            WalDecodeResult::kOk);
+  ExpectRecordsEqual(rec, out);
+  ASSERT_EQ(out.images.size(), 1u);
+  EXPECT_TRUE(out.images[0].extents.empty());
+
+  std::vector<uint8_t> applied = page;
+  const uint8_t* src = out.images[0].bytes.data();
+  for (const WalExtent& e : out.images[0].extents) {
+    std::memcpy(applied.data() + e.offset, src, e.length);
+    src += e.length;
+  }
+  EXPECT_EQ(applied, page);
+}
+
 TEST(WalFormatTest, MalformedDeltaExtentsDecodeAsCorrupt) {
   // Hand-build a one-delta-image record, re-CRC each mutation so only
   // the extent validation (not the checksum) can reject it.
