@@ -69,7 +69,7 @@ double Percentile(std::vector<double>& v, double p) {
 // page (rendezvousing with its in-flight read), unpin clean. Capacity
 // covers the whole scan so prefetch always has free room; the cell
 // measures read overlap, not eviction policy (the write-back path has
-// its own tests and the wal bench).
+// its own tests and grids/durability.scn).
 CellResult RunCell(const SweepConfig& cfg, IoEngineKind engine,
                    size_t depth) {
   FilePageStoreOptions fopts;
@@ -87,10 +87,8 @@ CellResult RunCell(const SweepConfig& cfg, IoEngineKind engine,
     const PageId id = store->Allocate();
     BURTREE_CHECK(store->Write(id, buf.data()).ok());
   }
-  // The synthetic seek starts with the scan. kSleep, not kBusyWait:
-  // overlap means concurrently *sleeping* seeks, which a busy-wait
-  // would serialize on small core counts.
-  store->set_io_latency_model(PageStore::IoLatencyModel::kSleep);
+  // The synthetic seek starts with the scan; overlap means concurrently
+  // sleeping seeks.
   store->set_io_latency_ns(cfg.io_latency_us * 1000);
 
   BufferPool pool(store.get(), /*capacity=*/cfg.pages + cfg.threads,

@@ -73,8 +73,6 @@ struct BenchArgs {
     }
     a.storage.io_queue_depth =
         static_cast<size_t>(cli.GetInt("io-depth", 16));
-    a.storage.fsync_on_flush = cli.GetBool("fsync", false);
-    a.storage.direct_io = cli.GetBool("direct-io", false);
     a.storage.wal.enabled = cli.GetBool("wal", false);
     a.storage.wal.dir = cli.GetString("wal-dir", "");
     a.storage.wal.group_commit_us =
@@ -83,7 +81,13 @@ struct BenchArgs {
         static_cast<uint64_t>(cli.GetInt("wal-ckpt-mb", 64)) << 20;
     a.seed = static_cast<uint64_t>(cli.GetInt("seed", 20030901));
     a.csv = cli.GetBool("csv", false);
-    ParseDistribution(cli.GetString("dist", "uniform"), &a.distribution);
+    const std::string dist = cli.GetString("dist", "uniform");
+    if (!ParseDistribution(dist, &a.distribution)) {
+      std::fprintf(stderr,
+                   "unknown --dist '%s' (want uniform|gaussian|skewed)\n",
+                   dist.c_str());
+      std::exit(2);
+    }
     return a;
   }
 

@@ -30,7 +30,7 @@ struct StressConfig {
   // so the latch (not the simulated disk) is the contended resource.
   double hot_prob = 0.9;         // P(touch goes to the hot set)
   double hot_fraction = 0.1;     // hot set size as a fraction of pages
-  // Simulated disk latency per miss/write-back batch, sleep-model. The
+  // Simulated disk latency per miss/write-back batch (slept out). The
   // pool issues both miss reads and victim write-backs with no latch
   // held, so a slow access stalls only waiters on that page; the latch
   // itself is contended only by the in-memory bookkeeping. With the
@@ -53,7 +53,6 @@ StressResult RunPoolStress(size_t shards, size_t threads,
                            const StressConfig& cfg) {
   std::unique_ptr<PageStore> file = MustMakePageStore(cfg.storage, 1024);
   file->set_io_latency_ns(cfg.io_latency_us * 1000);
-  file->set_io_latency_model(PageStore::IoLatencyModel::kSleep);
   for (size_t i = 0; i < cfg.pages; ++i) file->Allocate();
   const size_t capacity = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(cfg.pages) *

@@ -36,14 +36,6 @@ SCHEMAS = {
             "checks_failed", "check_failures",
         ],
     ),
-    "bench_wal_durability": (
-        ["bench", "workload", "ops", "pages", "buffer_fraction",
-         "threads", "shards", "group_commit_us"],
-        "rows",
-        ["config", "ops_per_sec", "hit_rate", "durable", "wal_records",
-         "wal_delta_images", "wal_fsyncs", "wal_appended_bytes",
-         "wal_checkpoints", "wal_max_group_bytes"],
-    ),
     "bench_async_io": (
         ["bench", "pages", "page_size", "threads", "io_latency_us"],
         "rows",

@@ -157,7 +157,6 @@ ConcurrentIndex::ConcurrentIndex(IndexSystem* system,
     // The tree "disk" sleeps per access while the operation's latches
     // are held; ChargeIoLatency then becomes a no-op.
     system_->file().set_io_latency_ns(options_.io_latency_us * 1000);
-    system_->file().set_io_latency_model(PageStore::IoLatencyModel::kSleep);
   }
 }
 
@@ -192,6 +191,11 @@ void ConcurrentIndex::ChargeIoLatency(uint64_t ios) const {
   if (options_.io_latency_us == 0 || ios == 0) return;
   std::this_thread::sleep_for(
       std::chrono::microseconds(options_.io_latency_us * ios));
+}
+
+Status ConcurrentIndex::WalStatus() const {
+  const WalManager* wal = system_->wal();
+  return wal != nullptr ? wal->status() : Status::OK();
 }
 
 Status ConcurrentIndex::UpdateGlobal(ObjectId oid, const Point& from,
@@ -504,6 +508,7 @@ Status ConcurrentIndex::UpdateCoupled(ObjectId oid, const Point& from,
 
 Status ConcurrentIndex::Update(ObjectId oid, const Point& from,
                                const Point& to) {
+  BURTREE_RETURN_IF_ERROR(WalStatus());
   const uint64_t ts = NextTs();
   BURTREE_RETURN_IF_ERROR(AcquireDglWithRetry(&lock_manager_, ts, [&]() {
     return AcquireUpdateLocks(&lock_manager_, granules_, ts, from, to);
@@ -519,6 +524,7 @@ Status ConcurrentIndex::Update(ObjectId oid, const Point& from,
 }
 
 Status ConcurrentIndex::Insert(ObjectId oid, const Point& pos) {
+  BURTREE_RETURN_IF_ERROR(WalStatus());
   const uint64_t ts = NextTs();
   BURTREE_RETURN_IF_ERROR(AcquireDglWithRetry(&lock_manager_, ts, [&]() {
     return AcquireInsertLocks(&lock_manager_, granules_, ts, pos);
@@ -550,6 +556,7 @@ Status ConcurrentIndex::Insert(ObjectId oid, const Point& pos) {
 }
 
 Status ConcurrentIndex::Delete(ObjectId oid, const Point& pos) {
+  BURTREE_RETURN_IF_ERROR(WalStatus());
   const uint64_t ts = NextTs();
   // An insert's mirror image at the DGL layer: IX root + X on the one
   // cell whose population changes.
@@ -716,6 +723,10 @@ StatusOr<size_t> ConcurrentIndex::Query(const Rect& window) {
 
 Status ConcurrentIndex::UpdateBatch(std::vector<BatchUpdateOp>& ops) {
   if (ops.empty()) return Status::OK();
+  if (const Status wal = WalStatus(); !wal.ok()) {
+    for (BatchUpdateOp& op : ops) op.status = wal;
+    return wal;
+  }
   const uint64_t ts = NextTs();
 
   // One DGL round trip for the whole batch: the union of every op's
@@ -863,6 +874,10 @@ Status ConcurrentIndex::UpdateBatch(std::vector<BatchUpdateOp>& ops) {
 
 Status ConcurrentIndex::InsertBatch(std::vector<BatchInsertOp>& ops) {
   if (ops.empty()) return Status::OK();
+  if (const Status wal = WalStatus(); !wal.ok()) {
+    for (BatchInsertOp& op : ops) op.status = wal;
+    return wal;
+  }
   const uint64_t ts = NextTs();
   std::vector<uint64_t> cells;
   cells.reserve(ops.size());

@@ -182,6 +182,10 @@ class ConcurrentIndex {
                   QueryExecutor* executor,
                   const ConcurrencyOptions& options);
 
+  /// Mutations (Update, Insert, Delete and the two batches) first check
+  /// the WAL: once it failed for good (WalManager::status()) they return
+  /// that error without touching the tree. Queries keep running.
+
   /// Thread-safe update of one object.
   Status Update(ObjectId oid, const Point& from, const Point& to);
 
@@ -228,7 +232,7 @@ class ConcurrentIndex {
   /// locks. Same-oid duplicates within the batch are serialized in
   /// submission order through the fallback path. Per-op outcomes land
   /// in ops[i].status; returns the first non-OK status (the remaining
-  /// ops still run), or the DGL failure with nothing mutated.
+  /// ops still run), or the DGL or WAL failure with nothing mutated.
   Status UpdateBatch(std::vector<BatchUpdateOp>& ops);
 
   /// Batched inserts: one DGL acquisition for the union of destination
@@ -245,6 +249,8 @@ class ConcurrentIndex {
  private:
   uint64_t NextTs() { return ts_.fetch_add(1, std::memory_order_relaxed); }
   void ChargeIoLatency(uint64_t ios) const;
+  /// The WAL's sticky error (OK without a WAL); see the mutation note.
+  Status WalStatus() const;
 
   Status UpdateGlobal(ObjectId oid, const Point& from, const Point& to,
                       uint64_t* ios);

@@ -14,7 +14,7 @@ enum class StorageBackend {
   kMem,   ///< In-memory simulated disk (PageFile) — the default; counted
           ///< I/O with optional synthetic latency, nothing persisted.
   kFile,  ///< Real file via POSIX pread/pwrite (FilePageStore), with
-          ///< preadv/pwritev batching and optional fsync/O_DIRECT.
+          ///< preadv/pwritev batching.
 };
 
 /// Which asynchronous I/O engine the file backend (and the WAL
@@ -31,9 +31,9 @@ enum class IoEngineKind {
 /// when enabled, the system opens one redo-only log next to its tree
 /// page file, every mutation's page images are logged before any dirty
 /// frame reaches the store, and a committer thread group-commits the
-/// appends (see docs/STORAGE.md §WAL). Replaces fsync_on_flush as the
-/// durable configuration — one batched fdatasync per commit window
-/// instead of one per flush.
+/// appends (see docs/STORAGE.md §WAL). The only durable configuration:
+/// one batched fdatasync per commit window, plus the page file's
+/// fdatasync at each checkpoint.
 struct WalOptions {
   bool enabled = false;
 
@@ -73,17 +73,6 @@ struct StorageOptions {
   /// crash-recovery path reopens it with truncate=false and replays the
   /// WAL into it.
   std::string file_path;
-
-  /// File backend: fdatasync after every write-back call (Write and
-  /// FlushDirtyBatch), making each flush a durability point. Off by
-  /// default — the experiments measure access counts, not durability.
-  /// With wal.enabled the log already orders durability; leave this off
-  /// and let group commit amortize the fsyncs.
-  bool fsync_on_flush = false;
-
-  /// File backend: try O_DIRECT (falls back to buffered I/O where the
-  /// filesystem or page size does not support it, e.g. tmpfs).
-  bool direct_io = false;
 
   /// Asynchronous I/O engine for the file backend's batched reads and
   /// dirty write-backs and for the WAL's group-commit appends

@@ -53,11 +53,28 @@ void CliArgs::PrintUsage(std::ostream& os) const {
 
 void CliArgs::ExitIfHelpRequested(const char* argv0,
                                   const char* footer) const {
-  if (!help_requested_) return;
-  std::cout << "usage: " << argv0 << " [flags]\nflags:\n";
-  PrintUsage(std::cout);
-  if (footer != nullptr) std::cout << "\n" << footer << "\n";
-  std::exit(0);
+  if (help_requested_) {
+    std::cout << "usage: " << argv0 << " [flags]\nflags:\n";
+    PrintUsage(std::cout);
+    if (footer != nullptr) std::cout << "\n" << footer << "\n";
+    std::exit(0);
+  }
+  // A flag nothing queried (mistyped, or removed) must not run the
+  // defaults without a word.
+  std::vector<std::string> unknown;
+  for (const auto& kv : kv_) {
+    const auto queried = std::find_if(
+        known_flags_.begin(), known_flags_.end(),
+        [&](const auto& known) { return known.first == kv.first; });
+    if (queried == known_flags_.end()) unknown.push_back(kv.first);
+  }
+  if (unknown.empty()) return;
+  std::sort(unknown.begin(), unknown.end());
+  for (const std::string& key : unknown) {
+    std::cerr << "unknown flag --" << key << "\n";
+  }
+  std::cerr << "(" << argv0 << " --help lists the flags)\n";
+  std::exit(2);
 }
 
 int64_t CliArgs::GetInt(const std::string& key, int64_t def) const {
@@ -99,7 +116,13 @@ bool CliArgs::GetBool(const std::string& key, bool def) const {
   Note(key, def ? "true" : "false");
   auto it = kv_.find(key);
   if (it == kv_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  // Strict like GetInt: a typo ("tru", "on") must not read as false.
+  std::cerr << "bad bool '" << v << "' for --" << key
+            << " (want true|false|1|0|yes|no)\n";
+  std::exit(2);
 }
 
 double CliArgs::ScaleFactor() {

@@ -37,8 +37,9 @@ class CliArgs {
   void PrintUsage(std::ostream& os) const;
 
   /// If --help / -h was passed, prints usage for every flag queried so
-  /// far (plus an optional trailing note) and exits 0 — call it after the
-  /// last Get* so the listing is complete.
+  /// far (plus an optional trailing note) and exits 0. Otherwise, if a
+  /// passed --flag was never queried, names each such flag on stderr and
+  /// exits 2. Call it after the last Get* so both lists are complete.
   void ExitIfHelpRequested(const char* argv0,
                            const char* footer = nullptr) const;
 

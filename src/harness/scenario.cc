@@ -160,10 +160,6 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
     } else if (key == "wal_group_commit_us") {
       if (!parse_u64()) return bad_u64();
       spec.base.storage.wal.group_commit_us = u64_v;
-    } else if (key == "fsync") {
-      if (!ParseBool(value, &spec.base.storage.fsync_on_flush)) {
-        return err("bad bool '" + value + "'");
-      }
     } else if (key == "io_engine") {
       if (!ParseIoEngine(value, &spec.base.storage.io_engine)) {
         return err("unknown io_engine '" + value +

@@ -551,8 +551,7 @@ std::unique_ptr<AsyncIoEngine> AsyncIoEngine::Create(IoEngineKind kind,
   if (kind == IoEngineKind::kUring) {
     auto uring = UringIoEngine::TryCreate(queue_depth);
     if (uring != nullptr) return uring;
-    // Fall through: io_uring_setup unavailable (old kernel, seccomp) —
-    // same best-effort shape as the O_DIRECT fallback.
+    // Fall through: io_uring_setup unavailable (old kernel, seccomp).
   }
 #endif
   return std::make_unique<PoolIoEngine>(queue_depth);

@@ -15,8 +15,8 @@
 //     IOSQE_IO_LINK'd IORING_FSYNC_DATASYNC), a reaper thread collects
 //     CQEs, resumes short transfers synchronously, and completes. Falls
 //     back to the pool engine at Create() time when io_uring_setup is
-//     unavailable (old kernel, seccomp sandbox), mirroring the
-//     best-effort O_DIRECT fallback — kind() reports what is active.
+//     unavailable (old kernel, seccomp sandbox) — kind() reports what
+//     is active.
 //
 // Synthetic latency: each unit carries latency_ns (snapshotted from the
 // store's io_latency_ns at submit). The engine stamps a deadline when

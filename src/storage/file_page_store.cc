@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -23,26 +22,9 @@ namespace {
 // allows 1024.
 constexpr size_t kMaxIov = 1024;
 
-// O_DIRECT wants buffers aligned to the device block size; 4096 covers
-// both 512e and 4Kn devices.
-constexpr size_t kDirectAlignment = 4096;
-
 Status Errno(const char* what) {
   return Status::IoError(std::string(what) + ": " + std::strerror(errno));
 }
-
-/// RAII posix_memalign buffer for the O_DIRECT bounce path.
-struct AlignedBuffer {
-  explicit AlignedBuffer(size_t n) {
-    void* p = nullptr;
-    if (posix_memalign(&p, kDirectAlignment, n) != 0) p = nullptr;
-    data = static_cast<uint8_t*>(p);
-  }
-  ~AlignedBuffer() { std::free(data); }
-  AlignedBuffer(const AlignedBuffer&) = delete;
-  AlignedBuffer& operator=(const AlignedBuffer&) = delete;
-  uint8_t* data = nullptr;
-};
 
 /// Sorts a batch by page id (pointers into the caller's vector).
 template <typename Req>
@@ -57,19 +39,22 @@ std::vector<const Req*> SortById(const std::vector<Req>& reqs) {
   return order;
 }
 
-/// Fuses the sorted batch into maximal contiguous-id runs and calls
-/// `fn(start_index, run_length)` per run. Duplicate ids and gaps split
-/// runs.
-template <typename Req, typename RunFn>
-Status ForEachContiguousRun(const std::vector<const Req*>& order,
-                            RunFn fn) {
+/// Fuses the sorted batch into contiguous-id runs, each cut at the
+/// iovec syscall cap: (start index, length) pairs. Duplicate ids and
+/// gaps split runs.
+template <typename Req>
+std::vector<std::pair<size_t, size_t>> IovRuns(
+    const std::vector<const Req*>& order) {
+  std::vector<std::pair<size_t, size_t>> runs;
   for (size_t i = 0; i < order.size();) {
     size_t j = i + 1;
     while (j < order.size() && order[j]->id == order[j - 1]->id + 1) ++j;
-    BURTREE_RETURN_IF_ERROR(fn(i, j - i));
+    for (size_t c = i; c < j; c += kMaxIov) {
+      runs.emplace_back(c, std::min(kMaxIov, j - c));
+    }
     i = j;
   }
-  return Status::OK();
+  return runs;
 }
 
 }  // namespace
@@ -81,23 +66,7 @@ StatusOr<std::unique_ptr<FilePageStore>> FilePageStore::Open(
   }
   int flags = O_RDWR | O_CREAT | O_CLOEXEC;
   if (options.truncate) flags |= O_TRUNC;
-  // Best-effort O_DIRECT: the page size must be a multiple of the
-  // bounce-buffer alignment (4096 — which also covers any device
-  // logical-block size up to 4Kn; a 512-multiple alone would pass
-  // open() on a 4Kn disk and then fail every pread with EINVAL), and
-  // the filesystem must accept the flag (tmpfs does not). Otherwise
-  // fall back to buffered I/O rather than fail, and report via
-  // direct_io_active.
-  bool direct =
-      options.direct_io && options.page_size % kDirectAlignment == 0;
-  int fd = -1;
-  if (direct) {
-    fd = ::open(options.path.c_str(), flags | O_DIRECT, 0644);
-    if (fd < 0) direct = false;
-  }
-  if (fd < 0) {
-    fd = ::open(options.path.c_str(), flags, 0644);
-  }
+  const int fd = ::open(options.path.c_str(), flags, 0644);
   if (fd < 0) {
     return Errno(("open '" + options.path + "'").c_str());
   }
@@ -124,15 +93,14 @@ StatusOr<std::unique_ptr<FilePageStore>> FilePageStore::Open(
     ::unlink(options.path.c_str());  // best effort: scratch semantics
   }
   return std::unique_ptr<FilePageStore>(
-      new FilePageStore(options, fd, direct, existing_pages));
+      new FilePageStore(options, fd, existing_pages));
 }
 
 FilePageStore::FilePageStore(FilePageStoreOptions options, int fd,
-                             bool direct, size_t existing_pages)
+                             size_t existing_pages)
     : PageStore(options.page_size),
       options_(std::move(options)),
       fd_(fd),
-      direct_(direct),
       engine_(AsyncIoEngine::Create(options_.io_engine,
                                     options_.io_queue_depth)),
       live_(existing_pages, true),
@@ -162,7 +130,9 @@ PageId FilePageStore::Allocate() {
     free_list_.pop_back();
     // Match PageFile: a reused slot reads back zeroed. The zeroing write
     // is allocation bookkeeping, not a counted disk access.
-    BURTREE_CHECK(ZeroPageLocked(id).ok());
+    const std::vector<uint8_t> zeros(page_size(), 0);
+    BURTREE_CHECK(
+        io::PwriteFully(fd_, zeros.data(), page_size(), OffsetOf(id)).ok());
     live_[id] = true;
     return id;
   }
@@ -198,9 +168,8 @@ Status FilePageStore::Read(PageId id, uint8_t* out) {
     if (!IsLiveLocked(id)) {
       return Status::InvalidArgument("Read of non-live page");
     }
-    BURTREE_RETURN_IF_ERROR(direct_
-                                ? DirectReadPage(id, out)
-                                : PreadFully(out, page_size(), OffsetOf(id)));
+    BURTREE_RETURN_IF_ERROR(
+        io::PreadFully(fd_, out, page_size(), OffsetOf(id)));
   }
   CountRead();
   return Status::OK();
@@ -212,10 +181,8 @@ Status FilePageStore::Write(PageId id, const uint8_t* in) {
     if (!IsLiveLocked(id)) {
       return Status::InvalidArgument("Write of non-live page");
     }
-    BURTREE_RETURN_IF_ERROR(direct_
-                                ? DirectWritePage(id, in)
-                                : PwriteFully(in, page_size(), OffsetOf(id)));
-    if (options_.fsync_on_flush) BURTREE_RETURN_IF_ERROR(SyncLocked());
+    BURTREE_RETURN_IF_ERROR(
+        io::PwriteFully(fd_, in, page_size(), OffsetOf(id)));
   }
   CountWrite();
   return Status::OK();
@@ -232,34 +199,18 @@ Status FilePageStore::ReadPages(const std::vector<PageReadRequest>& reqs) {
         return Status::InvalidArgument("ReadPages of non-live page");
       }
     }
-    // Sort by page id and fuse contiguous runs: one preadv per run (one
-    // bounce-buffered pread in O_DIRECT mode) instead of one syscall per
-    // page — the file-backend analogue of the group read's amortized
-    // seek. Duplicate ids simply split runs.
+    // Sort by page id and fuse contiguous runs: one preadv per run
+    // instead of one syscall per page — the file-backend analogue of the
+    // group read's amortized seek. Duplicate ids simply split runs.
     const auto order = SortById(reqs);
-    BURTREE_RETURN_IF_ERROR(ForEachContiguousRun(
-        order, [&](size_t i, size_t run) -> Status {
-          const off_t off = OffsetOf(order[i]->id);
-          if (direct_) {
-            AlignedBuffer buf(run * page_size());
-            if (buf.data == nullptr) {
-              return Status::IoError("posix_memalign");
-            }
-            BURTREE_RETURN_IF_ERROR(
-                PreadFully(buf.data, run * page_size(), off));
-            for (size_t k = 0; k < run; ++k) {
-              std::memcpy(order[i + k]->out, buf.data + k * page_size(),
-                          page_size());
-            }
-            return Status::OK();
-          }
-          std::vector<struct iovec> iov(run);
-          for (size_t k = 0; k < run; ++k) {
-            iov[k].iov_base = order[i + k]->out;
-            iov[k].iov_len = page_size();
-          }
-          return VectoredIo(std::move(iov), off, /*write=*/false);
-        }));
+    for (const auto& [start, len] : IovRuns(order)) {
+      std::vector<struct iovec> iov(len);
+      for (size_t k = 0; k < len; ++k) {
+        iov[k] = {order[start + k]->out, page_size()};
+      }
+      BURTREE_RETURN_IF_ERROR(io::VectoredIo(
+          fd_, std::move(iov), OffsetOf(order[start]->id), /*write=*/false));
+    }
   }
   CountReads(reqs.size());
   return Status::OK();
@@ -276,30 +227,14 @@ Status FilePageStore::FlushDirtyBatch(
       }
     }
     const auto order = SortById(reqs);
-    BURTREE_RETURN_IF_ERROR(ForEachContiguousRun(
-        order, [&](size_t i, size_t run) -> Status {
-          const off_t off = OffsetOf(order[i]->id);
-          if (direct_) {
-            AlignedBuffer buf(run * page_size());
-            if (buf.data == nullptr) {
-              return Status::IoError("posix_memalign");
-            }
-            for (size_t k = 0; k < run; ++k) {
-              std::memcpy(buf.data + k * page_size(), order[i + k]->data,
-                          page_size());
-            }
-            return PwriteFully(buf.data, run * page_size(), off);
-          }
-          std::vector<struct iovec> iov(run);
-          for (size_t k = 0; k < run; ++k) {
-            iov[k].iov_base = const_cast<uint8_t*>(order[i + k]->data);
-            iov[k].iov_len = page_size();
-          }
-          return VectoredIo(std::move(iov), off, /*write=*/true);
-        }));
-    // Durability point: every pwrite of the batch is issued above, and
-    // with the policy on the batch is on the device before we return.
-    if (options_.fsync_on_flush) BURTREE_RETURN_IF_ERROR(SyncLocked());
+    for (const auto& [start, len] : IovRuns(order)) {
+      std::vector<struct iovec> iov(len);
+      for (size_t k = 0; k < len; ++k) {
+        iov[k] = {const_cast<uint8_t*>(order[start + k]->data), page_size()};
+      }
+      BURTREE_RETURN_IF_ERROR(io::VectoredIo(
+          fd_, std::move(iov), OffsetOf(order[start]->id), /*write=*/true));
+    }
   }
   CountWrites(reqs.size());
   return Status::OK();
@@ -317,33 +252,12 @@ size_t FilePageStore::allocated_slots() const {
 
 Status FilePageStore::Sync() {
   std::shared_lock lock(mu_);
-  return SyncLocked();
-}
-
-Status FilePageStore::SyncLocked() const {
   if (::fdatasync(fd_) != 0) return Errno("fdatasync");
   return Status::OK();
 }
 
 bool FilePageStore::IsLiveLocked(PageId id) const {
   return id < live_.size() && live_[id];
-}
-
-// The resume loops live in storage/async_io.cc (shared with the async
-// engines and routed through the fault-injection hooks); these wrappers
-// just bind fd_.
-Status FilePageStore::PreadFully(uint8_t* buf, size_t len, off_t off) const {
-  return io::PreadFully(fd_, buf, len, off);
-}
-
-Status FilePageStore::VectoredIo(std::vector<struct iovec> iov, off_t off,
-                                 bool write) const {
-  return io::VectoredIo(fd_, std::move(iov), off, write);
-}
-
-Status FilePageStore::PwriteFully(const uint8_t* buf, size_t len,
-                                  off_t off) const {
-  return io::PwriteFully(fd_, buf, len, off);
 }
 
 IoEngineKind FilePageStore::io_engine_active() const {
@@ -384,52 +298,23 @@ void FilePageStore::SubmitReadPages(std::vector<PageReadRequest> reqs,
       [](const PageReadRequest* a, const PageReadRequest* b) {
         return a->id < b->id;
       });
-  // Fuse contiguous-id runs (duplicates and gaps split them) and submit
-  // one unit per run, chunked at the iovec syscall cap.
-  for (size_t i = 0; i < live.size();) {
-    size_t j = i + 1;
-    while (j < live.size() && live[j]->id == live[j - 1]->id + 1) ++j;
-    for (size_t c = i; c < j; c += kMaxIov) {
-      const size_t len = std::min(kMaxIov, j - c);
-      const PageId first = live[c]->id;
-      IoRequest req;
-      req.op = IoRequest::Op::kRead;
-      req.fd = fd_;
-      req.offset = OffsetOf(first);
-      req.latency_ns = io_latency_ns();  // once per run, like CountReads
-      if (direct_) {
-        auto bounce = std::make_shared<AlignedBuffer>(len * page_size());
-        if (bounce->data == nullptr) {
-          on_run(first, len, Status::IoError("posix_memalign"));
-          continue;
-        }
-        std::vector<uint8_t*> outs(len);
-        for (size_t k = 0; k < len; ++k) outs[k] = live[c + k]->out;
-        req.iov.push_back({bounce->data, len * page_size()});
-        req.done = [this, batch, bounce, outs = std::move(outs), first, len,
-                    on_run](Status s) {
-          if (s.ok()) {
-            for (size_t k = 0; k < len; ++k) {
-              std::memcpy(outs[k], bounce->data + k * page_size(),
-                          page_size());
-            }
-          }
-          CountReadsCompleted(len);
-          on_run(first, len, s);
-        };
-      } else {
-        req.iov.reserve(len);
-        for (size_t k = 0; k < len; ++k) {
-          req.iov.push_back({live[c + k]->out, page_size()});
-        }
-        req.done = [this, batch, first, len, on_run](Status s) {
-          CountReadsCompleted(len);
-          on_run(first, len, s);
-        };
-      }
-      engine_->Submit(std::move(req));
+  // One unit per fused run.
+  for (const auto& [start, len] : IovRuns(live)) {
+    const PageId first = live[start]->id;
+    IoRequest req;
+    req.op = IoRequest::Op::kRead;
+    req.fd = fd_;
+    req.offset = OffsetOf(first);
+    req.latency_ns = io_latency_ns();  // once per run, like CountReads
+    req.iov.reserve(len);
+    for (size_t k = 0; k < len; ++k) {
+      req.iov.push_back({live[start + k]->out, page_size()});
     }
-    i = j;
+    req.done = [this, batch, first, len = len, on_run](Status s) {
+      CountReadsCompleted(len);
+      on_run(first, len, s);
+    };
+    engine_->Submit(std::move(req));
   }
 }
 
@@ -459,8 +344,7 @@ void FilePageStore::SubmitFlushDirtyBatch(std::vector<PageWriteRequest> reqs,
   }
   const auto order = SortById(*batch);
   // One `done` after all runs: count them first, then submit with a
-  // shared countdown (first error wins; the final run adds the
-  // fsync-on-flush durability point, after every pwrite landed).
+  // shared countdown (first error wins).
   struct Agg {
     std::atomic<size_t> runs_left{0};
     std::mutex mu;
@@ -469,15 +353,7 @@ void FilePageStore::SubmitFlushDirtyBatch(std::vector<PageWriteRequest> reqs,
   };
   auto agg = std::make_shared<Agg>();
   agg->done = std::move(done);
-  std::vector<std::pair<size_t, size_t>> runs;  // (start, len) in `order`
-  for (size_t i = 0; i < order.size();) {
-    size_t j = i + 1;
-    while (j < order.size() && order[j]->id == order[j - 1]->id + 1) ++j;
-    for (size_t c = i; c < j; c += kMaxIov) {
-      runs.emplace_back(c, std::min(kMaxIov, j - c));
-    }
-    i = j;
-  }
+  const auto runs = IovRuns(order);
   agg->runs_left.store(runs.size(), std::memory_order_relaxed);
   for (const auto& [start, len] : runs) {
     IoRequest req;
@@ -485,74 +361,23 @@ void FilePageStore::SubmitFlushDirtyBatch(std::vector<PageWriteRequest> reqs,
     req.fd = fd_;
     req.offset = OffsetOf(order[start]->id);
     req.latency_ns = io_latency_ns();
-    std::shared_ptr<AlignedBuffer> bounce;
-    if (direct_) {
-      bounce = std::make_shared<AlignedBuffer>(len * page_size());
-      if (bounce->data == nullptr) {
-        std::lock_guard<std::mutex> lk(agg->mu);
-        if (agg->first_error.ok()) {
-          agg->first_error = Status::IoError("posix_memalign");
-        }
-        if (agg->runs_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          agg->done(agg->first_error);
-        }
-        continue;
-      }
-      for (size_t k = 0; k < len; ++k) {
-        std::memcpy(bounce->data + k * page_size(), order[start + k]->data,
-                    page_size());
-      }
-      req.iov.push_back({bounce->data, len * page_size()});
-    } else {
-      req.iov.reserve(len);
-      for (size_t k = 0; k < len; ++k) {
-        req.iov.push_back(
-            {const_cast<uint8_t*>(order[start + k]->data), page_size()});
-      }
+    req.iov.reserve(len);
+    for (size_t k = 0; k < len; ++k) {
+      req.iov.push_back(
+          {const_cast<uint8_t*>(order[start + k]->data), page_size()});
     }
-    req.done = [this, batch, bounce, agg, len](Status s) {
+    req.done = [this, batch, agg, len = len](Status s) {
       CountWritesCompleted(len);
       if (!s.ok()) {
         std::lock_guard<std::mutex> lk(agg->mu);
         if (agg->first_error.ok()) agg->first_error = s;
       }
       if (agg->runs_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        Status final_status = agg->first_error;  // no writers remain
-        if (final_status.ok() && options_.fsync_on_flush &&
-            ::fdatasync(fd_) != 0) {
-          final_status = Errno("fdatasync");
-        }
-        agg->done(final_status);
+        agg->done(agg->first_error);  // no writers remain
       }
     };
     engine_->Submit(std::move(req));
   }
-}
-
-Status FilePageStore::DirectReadPage(PageId id, uint8_t* out) const {
-  AlignedBuffer buf(page_size());
-  if (buf.data == nullptr) return Status::IoError("posix_memalign");
-  BURTREE_RETURN_IF_ERROR(PreadFully(buf.data, page_size(), OffsetOf(id)));
-  std::memcpy(out, buf.data, page_size());
-  return Status::OK();
-}
-
-Status FilePageStore::DirectWritePage(PageId id, const uint8_t* in) const {
-  AlignedBuffer buf(page_size());
-  if (buf.data == nullptr) return Status::IoError("posix_memalign");
-  std::memcpy(buf.data, in, page_size());
-  return PwriteFully(buf.data, page_size(), OffsetOf(id));
-}
-
-Status FilePageStore::ZeroPageLocked(PageId id) {
-  if (direct_) {
-    AlignedBuffer buf(page_size());
-    if (buf.data == nullptr) return Status::IoError("posix_memalign");
-    std::memset(buf.data, 0, page_size());
-    return PwriteFully(buf.data, page_size(), OffsetOf(id));
-  }
-  std::vector<uint8_t> zeros(page_size(), 0);
-  return PwriteFully(zeros.data(), page_size(), OffsetOf(id));
 }
 
 }  // namespace burtree

@@ -1,9 +1,9 @@
 // FilePageStore: the real-file PageStore — POSIX pread/pwrite against a
 // backing file, with preadv/pwritev batching for the group read and
-// write-back paths, an fsync-on-flush durability policy, and best-effort
-// O_DIRECT. Lets the same buffer pool and benches run against a real
-// device (or tmpfs) instead of the simulated in-memory disk; contract
-// and backend-choice guidance in docs/STORAGE.md.
+// write-back paths. Lets the same buffer pool and benches run against a
+// real device (or tmpfs) instead of the simulated in-memory disk; pages
+// become durable only at Sync(), which the WAL checkpoint calls.
+// Contract and backend-choice guidance in docs/STORAGE.md.
 #pragma once
 
 #include <cstdint>
@@ -12,8 +12,6 @@
 #include <shared_mutex>
 #include <string>
 #include <vector>
-
-#include <sys/uio.h>
 
 #include "storage/async_io.h"
 #include "storage/page_store.h"
@@ -30,19 +28,6 @@ struct FilePageStoreOptions {
   /// file — every `size / page_size` slot becomes a live page (the store
   /// keeps no persistent allocation metadata; see docs/STORAGE.md).
   bool truncate = true;
-
-  /// fdatasync after every write-back call (Write / FlushDirtyBatch), so
-  /// each flush is a durability point: all pwrites of the batch land
-  /// before the sync, and the call does not return until the device
-  /// acknowledged them.
-  bool fsync_on_flush = false;
-
-  /// Try O_DIRECT. Falls back to buffered I/O (direct_io_active() ==
-  /// false) when the filesystem rejects it (e.g. tmpfs) or page_size is
-  /// not a multiple of 4096 (the bounce-buffer alignment, which also
-  /// covers 4Kn-device logical blocks — a looser check would pass
-  /// open() and then fail every pread at runtime).
-  bool direct_io = false;
 
   /// Unlink the path right after opening: the file becomes anonymous
   /// scratch space the kernel reclaims when the store closes (used by
@@ -94,42 +79,27 @@ class FilePageStore final : public PageStore {
   size_t live_pages() const override;
   size_t allocated_slots() const override;
 
-  /// Forces everything down to the device (fdatasync), regardless of the
-  /// fsync_on_flush policy.
+  /// Forces everything written so far down to the device (fdatasync).
   Status Sync() override;
 
   const std::string& path() const { return options_.path; }
-  /// Whether O_DIRECT is actually in effect (false after a fallback).
-  bool direct_io_active() const { return direct_; }
   /// The engine actually running: kSync without one, else the created
   /// engine's kind (kPool after a uring setup fallback).
   IoEngineKind io_engine_active() const;
 
  private:
-  FilePageStore(FilePageStoreOptions options, int fd, bool direct,
+  FilePageStore(FilePageStoreOptions options, int fd,
                 size_t existing_pages);
 
   bool IsLiveLocked(PageId id) const;
   off_t OffsetOf(PageId id) const {
     return static_cast<off_t>(id) * static_cast<off_t>(page_size());
   }
-  // The raw resume loops live in storage/async_io.h (io::PreadFully &
-  // co.) so the store and the async engines share one hookable
-  // implementation; these wrappers just bind fd_.
-  Status PreadFully(uint8_t* buf, size_t len, off_t off) const;
-  Status PwriteFully(const uint8_t* buf, size_t len, off_t off) const;
-  Status VectoredIo(std::vector<struct iovec> iov, off_t off,
-                    bool write) const;
-  /// pread/pwrite one page through an O_DIRECT-aligned bounce buffer.
-  Status DirectReadPage(PageId id, uint8_t* out) const;
-  Status DirectWritePage(PageId id, const uint8_t* in) const;
-  /// Zeroes a reused slot on disk (uncounted: allocation is not I/O).
-  Status ZeroPageLocked(PageId id);
-  Status SyncLocked() const;
+  // Data transfers go through the hookable resume loops in
+  // storage/async_io.h (io::PreadFully & co.), shared with the engines.
 
   FilePageStoreOptions options_;
   int fd_ = -1;
-  bool direct_ = false;
   /// Null when io_engine == kSync. Destroyed (drained) before fd_
   /// closes, so in-flight units never race the close.
   std::unique_ptr<AsyncIoEngine> engine_;

@@ -73,19 +73,9 @@ void PageStore::SubmitFlushDirtyBatch(std::vector<PageWriteRequest> reqs,
 
 void PageStore::ChargeLatency() const {
   if (io_latency_ns_ == 0) return;
-  if (io_latency_model_ == IoLatencyModel::kSleep) {
-    // Blocking model: the caller yields the CPU, so independent work on
-    // other threads proceeds during the simulated disk access.
-    std::this_thread::sleep_for(std::chrono::nanoseconds(io_latency_ns_));
-    return;
-  }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(io_latency_ns_);
-  // Busy-wait: sleep granularity on Linux (~50us) is coarser than typical
-  // simulated latencies, and the throughput bench needs the delay to be
-  // incurred on the calling thread.
-  while (std::chrono::steady_clock::now() < deadline) {
-  }
+  // The caller yields the CPU, so independent work on other threads
+  // proceeds during the simulated disk access.
+  std::this_thread::sleep_for(std::chrono::nanoseconds(io_latency_ns_));
 }
 
 const char* StorageBackendName(StorageBackend backend) {
@@ -133,8 +123,6 @@ StatusOr<std::unique_ptr<PageStore>> MakePageStore(const StorageOptions& opts,
   FilePageStoreOptions fopts;
   fopts.page_size = page_size;
   fopts.truncate = true;
-  fopts.fsync_on_flush = opts.fsync_on_flush;
-  fopts.direct_io = opts.direct_io;
   fopts.io_engine = opts.io_engine;
   fopts.io_queue_depth = opts.io_queue_depth;
   if (!opts.file_path.empty()) {

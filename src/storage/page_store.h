@@ -133,24 +133,16 @@ class PageStore {
   /// cost-model charges that bypass the physical page path).
   static void AddThreadIo(uint64_t n);
 
-  /// How synthetic latency is incurred. kBusyWait burns the calling
-  /// thread's CPU (the throughput experiment charges latency outside all
-  /// latches and needs the delay on-thread even at sub-sleep-granularity
-  /// scales). kSleep blocks the thread, letting other threads run — the
-  /// right model when the caller may overlap with other work, as both
-  /// the buffer pool's miss and write-back paths now do: the I/O runs
-  /// with no latch held, so a sleeping access stalls only its waiters.
-  enum class IoLatencyModel { kBusyWait, kSleep };
-
-  /// Optional synthetic latency charged per read/write, in nanoseconds.
-  /// Used by the throughput experiment to make tps I/O-bound like the
-  /// paper's disk-resident setting. 0 disables it. The file backend
-  /// honors it too (added on top of the real device time), which keeps
+  /// Optional synthetic latency charged per read/write, in nanoseconds:
+  /// the calling thread sleeps it out, so other threads run meanwhile —
+  /// the buffer pool's miss and write-back paths do their I/O with no
+  /// latch held, and a sleeping access stalls only its waiters. Used by
+  /// the concurrent scenarios to make tps I/O-bound like the paper's
+  /// disk-resident setting. 0 disables it. The file backend honors it
+  /// too (added on top of the real device time), which keeps
   /// latency-sensitive tests backend-agnostic.
   void set_io_latency_ns(uint64_t ns) { io_latency_ns_ = ns; }
   uint64_t io_latency_ns() const { return io_latency_ns_; }
-  void set_io_latency_model(IoLatencyModel m) { io_latency_model_ = m; }
-  IoLatencyModel io_latency_model() const { return io_latency_model_; }
 
  protected:
   /// Accounting helpers for implementations: bump IoStats and the
@@ -172,7 +164,6 @@ class PageStore {
   const size_t page_size_;
   IoStats stats_;
   uint64_t io_latency_ns_ = 0;
-  IoLatencyModel io_latency_model_ = IoLatencyModel::kBusyWait;
 };
 
 /// "mem" / "file" for table headers and --help text.

@@ -226,10 +226,31 @@ WalStats WalManager::stats() const {
   return stats_;
 }
 
+Status WalManager::status() const {
+  if (!failed_.load(std::memory_order_acquire)) return Status::OK();
+  std::lock_guard<std::mutex> lk(mu_);
+  return io_error_;
+}
+
+void WalManager::FailLocked(Status s) {
+  if (!io_error_.ok()) return;
+  io_error_ = std::move(s);
+  failed_.store(true, std::memory_order_release);
+}
+
 uint64_t WalManager::AppendEncoded(const uint8_t* data, size_t len,
                                    size_t image_count, size_t delta_count,
                                    bool from_auto_scope) {
   std::lock_guard<std::mutex> lk(mu_);
+  if (!io_error_.ok()) {
+    // Nothing can become durable any more (FlushLocked returns the
+    // error and never drains buf_): buffer nothing, but still advance
+    // the LSN so the caller's frames stamp past durable_lsn_ and
+    // eviction keeps holding them back.
+    next_lsn_ += len;
+    approx_next_lsn_.store(next_lsn_, std::memory_order_relaxed);
+    return next_lsn_;
+  }
   const size_t pos = buf_.size();
   buf_.insert(buf_.end(), data, data + len);
   PatchWalRecordLsn(buf_.data() + pos, next_lsn_);
@@ -285,8 +306,8 @@ Status WalManager::FlushLocked(std::unique_lock<std::mutex>& lk) {
         stats_.max_group_bytes =
             std::max<uint64_t>(stats_.max_group_bytes, batch_bytes);
         DrainFreesLocked(durable_lsn_);
-      } else if (io_error_.ok()) {
-        io_error_ = s;
+      } else {
+        FailLocked(s);
       }
       durable_cv_.notify_all();
     };
@@ -310,8 +331,8 @@ Status WalManager::FlushLocked(std::unique_lock<std::mutex>& lk) {
     stats_.max_group_bytes = std::max<uint64_t>(stats_.max_group_bytes,
                                                 flush_buf_.size());
     DrainFreesLocked(durable_lsn_);
-  } else if (io_error_.ok()) {
-    io_error_ = s;
+  } else {
+    FailLocked(s);
   }
   durable_cv_.notify_all();
   return s;
@@ -361,7 +382,9 @@ void WalManager::CommitterLoop() {
         file_write_off_ > options_.checkpoint_log_bytes &&
         file_write_off_ > ckpt_retry_off_) {
       lk.unlock();
-      Checkpoint().ok();  // best effort; failures are sticky via io_error_
+      // Best effort: a sticky failure (see status()) ends these
+      // retries, any other failure backs off.
+      Checkpoint().ok();
       lk.lock();
     }
   }
@@ -370,6 +393,13 @@ void WalManager::CommitterLoop() {
 Status WalManager::Checkpoint() {
   std::lock_guard<std::mutex> cp(checkpoint_mu_);
   if (quiesced_) return Status::OK();
+  // A failed checkpoint leaves the log as it was; back off so the
+  // auto-trigger does not re-run a whole FlushAll every commit window.
+  auto back_off = [this](Status s) {
+    std::lock_guard<std::mutex> lk(mu_);
+    BackOffCheckpointsLocked();
+    return s;
+  };
 
   // 1. Cut candidate and the root known strictly before it. Records
   //    below the final cut are dropped; records at/past it are carried
@@ -391,9 +421,26 @@ Status WalManager::Checkpoint() {
   // 2. Flush and sync the pool, concurrently with new operations.
   //    FlushAll makes the log durable first (log-before-flush) and skips
   //    frames inside open scopes or past the durable horizon.
-  if (hooks_.flush_pages) BURTREE_RETURN_IF_ERROR(hooks_.flush_pages());
+  if (hooks_.flush_pages) {
+    Status s = hooks_.flush_pages();
+    if (!s.ok()) return back_off(s);
+  }
   if (hooks_.begin_sync) hooks_.begin_sync();
-  if (hooks_.sync_pages) BURTREE_RETURN_IF_ERROR(hooks_.sync_pages());
+  if (hooks_.sync_pages) {
+    Status s = hooks_.sync_pages();
+    if (!s.ok()) {
+      // The flush marked its frames clean and begin_sync reset the
+      // unsynced-write floor, so no later checkpoint would know these
+      // pages still need the log — and a retried fdatasync can return 0
+      // after the kernel dropped the failed pages (Linux reports a
+      // write-back error once). Never truncate again: sticky, like a
+      // log write failure (see status()).
+      std::lock_guard<std::mutex> lk(mu_);
+      FailLocked(s);
+      durable_cv_.notify_all();
+      return s;
+    }
+  }
 
   // 3. Frames the flush skipped — or frames evicted into store writes
   //    the sync above did not cover — still need their oldest records:
@@ -412,9 +459,7 @@ Status WalManager::Checkpoint() {
       // The floor pinned the cut at (or before) the current base —
       // nothing can be truncated yet. Back off so the auto-checkpoint
       // does not re-run FlushAll every commit window.
-      ckpt_retry_off_ =
-          file_write_off_ + std::max<uint64_t>(
-                                options_.checkpoint_log_bytes / 8, 1 << 20);
+      BackOffCheckpointsLocked();
       return Status::OK();
     }
   }
@@ -422,7 +467,7 @@ Status WalManager::Checkpoint() {
 
   const std::string tmp = options_.path + ".ckpt";
   const int nfd = ::open(tmp.c_str(), O_CREAT | O_RDWR | O_TRUNC, 0644);
-  if (nfd < 0) return Errno("open", tmp);
+  if (nfd < 0) return back_off(Errno("open", tmp));
   std::vector<uint8_t> head(kWalFileHeaderSize);
   EncodeWalFileHeader(options_.page_size, base, head.data());
   EncodeWalRecord(ckpt, options_.page_size, /*lsn=*/base, &head);
@@ -472,14 +517,25 @@ Status WalManager::Checkpoint() {
     if (s.ok() && ::rename(tmp.c_str(), options_.path.c_str()) != 0) {
       s = Errno("rename", tmp);
     }
-    if (s.ok()) s = FsyncDirOf(options_.path);
     if (s.ok()) {
-      ::close(fd_);
+      // The rename took effect: the log's path names the fresh file, so
+      // every later append goes there, whatever the directory sync says.
+      const int old_fd = fd_;
       fd_ = nfd;  // same inode rename() just moved to options_.path
       file_base_lsn_ = base;
       file_write_off_ = kWalFileHeaderSize + (next_lsn_ - base);
-      durable_lsn_ = next_lsn_;  // the fresh file holds everything
       ckpt_retry_off_ = 0;
+      const Status dir = FsyncDirOf(options_.path);
+      ::close(old_fd);
+      if (!dir.ok()) {
+        // A crash may still bring the old name back, and the old file
+        // lacks every record appended from here on: durability is over
+        // (sticky, like a failed page sync — no back-off, no retry).
+        FailLocked(dir);
+        durable_cv_.notify_all();
+        return dir;
+      }
+      durable_lsn_ = next_lsn_;  // the fresh file holds everything
       // 5. Everything appended is durable: release all deferred frees.
       DrainFreesLocked(/*durable=*/next_lsn_);
       stats_.checkpoints++;
@@ -488,10 +544,16 @@ Status WalManager::Checkpoint() {
   if (!s.ok()) {
     ::close(nfd);
     ::unlink(tmp.c_str());
-    return s;
+    return back_off(s);
   }
   durable_cv_.notify_all();
   return Status::OK();
+}
+
+void WalManager::BackOffCheckpointsLocked() {
+  ckpt_retry_off_ =
+      file_write_off_ +
+      std::max<uint64_t>(options_.checkpoint_log_bytes / 8, 1 << 20);
 }
 
 void WalManager::NoteRootChange(PageId root, Level root_level) {

@@ -156,8 +156,15 @@ class WalManager {
   /// no write is in progress (worker-driven group commit: whichever
   /// thread needs durability first issues the batch), so it never
   /// depends on the committer thread — which may itself be inside a
-  /// checkpoint. Returns the sticky I/O error if log writing ever failed.
+  /// checkpoint. Returns the sticky I/O error (see status()).
   Status WaitDurable(uint64_t lsn);
+
+  /// The sticky I/O error, OK while the log is healthy. Set by the first
+  /// failed log write or fdatasync, checkpoint page sync (sync_pages),
+  /// or directory sync after a checkpoint's rename; from then on no
+  /// record can become durable, so appends are dropped instead of
+  /// buffered and ConcurrentIndex refuses mutations. Lock-free while OK.
+  Status status() const;
 
   /// Fuzzy checkpoint, concurrent with operations:
   ///   1. pick the cut candidate = appended end LSN and the root known
@@ -176,6 +183,10 @@ class WalManager {
   ///   5. release every deferred free (the fresh file made everything
   ///      appended durable).
   /// Skips (returns OK) when the floor pins the cut at the current base.
+  /// A failed sync_pages, or a failed directory sync once the rename
+  /// took effect, is sticky (see status()): the log is never truncated
+  /// again. Any other failure leaves the log as it was and backs off the
+  /// auto-trigger, as a skip does.
   /// Safe from any thread, including the committer's auto-checkpoint;
   /// concurrent calls serialize.
   Status Checkpoint();
@@ -239,9 +250,16 @@ class WalManager {
   /// Appends pre-encoded record bytes (copied into the pending buffer,
   /// LSN patched in under mu_); returns the record's end LSN. Callers
   /// keep ownership of `data`, so per-thread encode buffers are reusable.
+  /// After a sticky error the bytes are dropped (see status()).
   uint64_t AppendEncoded(const uint8_t* data, size_t len, size_t image_count,
                          size_t delta_count, bool from_auto_scope);
   void DrainFreesLocked(uint64_t durable);
+  /// Records the first I/O failure in io_error_ (later ones are
+  /// dropped) and publishes it to status(). `mu_` must be held.
+  void FailLocked(Status s);
+  /// Holds off the auto-checkpoint until the log grows by another
+  /// max(checkpoint_log_bytes / 8, 1 MB). `mu_` must be held.
+  void BackOffCheckpointsLocked();
 
   WalManagerOptions options_;
   int fd_ = -1;
@@ -258,11 +276,12 @@ class WalManager {
   uint64_t durable_lsn_ = 0;            // end of everything fsynced
   uint64_t file_write_off_ = 0;         // file offset buf_ starts at
   uint64_t file_base_lsn_ = 0;          // LSN of file offset header-end
-  uint64_t ckpt_retry_off_ = 0;         // back-off after a skipped auto-
-                                        // checkpoint (floor pinned the cut)
+  uint64_t ckpt_retry_off_ = 0;         // back-off after a skipped or
+                                        // failed checkpoint
   bool write_in_progress_ = false;      // single writer to fd_ at a time
   bool stop_ = false;
-  Status io_error_;  // sticky: first log write/fsync failure
+  Status io_error_;  // sticky: first failure, see status()
+  std::atomic<bool> failed_{false};  // io_error_ set: status()'s fast path
   std::deque<std::pair<uint64_t, PageId>> deferred_frees_;
   PageId last_root_ = kInvalidPageId;
   Level last_root_level_ = 0;

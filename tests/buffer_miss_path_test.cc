@@ -38,7 +38,6 @@ TEST(BufferMissPathTest, SlowMissDoesNotBlockSameShardHits) {
   pool.UnpinPage(0, /*dirty=*/false);
 
   file.set_io_latency_ns(kMissMs * 1000 * 1000);
-  file.set_io_latency_model(PageFile::IoLatencyModel::kSleep);
 
   // Thread A misses on page 1: with the sleep-model disk the read takes
   // kMissMs, during which the shard latch must be free.
@@ -87,7 +86,6 @@ TEST(BufferMissPathTest, SlowMissDoesNotBlockOtherSameShardMisses) {
   BufferPool pool(&file, /*capacity=*/8, /*shards=*/1);
 
   file.set_io_latency_ns(kMissMs * 1000 * 1000);
-  file.set_io_latency_model(PageFile::IoLatencyModel::kSleep);
 
   // Four misses on distinct pages of the one shard, concurrently. With
   // the read under the shard latch they would serialize (~4 * kMissMs);
@@ -123,7 +121,6 @@ TEST(BufferMissPathTest, ConcurrentFetchesOfOnePageCoalesceIntoOneRead) {
   }
   BufferPool pool(&file, /*capacity=*/4, /*shards=*/1);
   file.set_io_latency_ns(150ull * 1000 * 1000);  // 150 ms reads
-  file.set_io_latency_model(PageFile::IoLatencyModel::kSleep);
 
   const uint64_t reads_before = file.io_stats().reads();
   std::vector<std::thread> threads;
@@ -191,7 +188,6 @@ TEST(BufferMissPathTest, MissInFlightStressKeepsFramesConsistent) {
   // Tiny capacity forces constant eviction + refetch traffic.
   BufferPool pool(&file, /*capacity=*/8, /*shards=*/2);
   file.set_io_latency_ns(200 * 1000);  // 200 us sleep-model reads
-  file.set_io_latency_model(PageFile::IoLatencyModel::kSleep);
 
   constexpr int kThreads = 8;
   constexpr uint64_t kOpsPerThread = 400;

@@ -429,7 +429,6 @@ TEST(BufferPoolShardTest, SlowVictimFlushDoesNotBlockSameShardHits) {
   pool.UnpinPage(1, /*dirty=*/true);
 
   file.set_io_latency_ns(kFlushMs * 1000 * 1000);
-  file.set_io_latency_model(PageFile::IoLatencyModel::kSleep);
 
   // Thread A allocates a fresh page — no disk read, so the only slow
   // operation it can perform is the eviction write-back of dirty page 1
@@ -485,7 +484,6 @@ TEST(BufferPoolShardTest, RefetchOfInFlightVictimWaitsAndSeesFreshBytes) {
     pool.UnpinPage(0, /*dirty=*/true);
   }
   file.set_io_latency_ns(120ull * 1000 * 1000);  // 120 ms writes/reads
-  file.set_io_latency_model(PageFile::IoLatencyModel::kSleep);
 
   // Evict page 0 by fetching page 1; re-fetch page 0 concurrently while
   // its write-back is in flight. The re-fetch must wait for the batch

@@ -147,5 +147,48 @@ TEST(ConcurrentIndexTest, LatencyChargedPerIo) {
   EXPECT_GE(sw.ElapsedSeconds(), 0.004);
 }
 
+TEST(ConcurrentIndexTest, MutationsFailOnceTheWalFailed) {
+  ExperimentConfig cfg;
+  cfg.strategy = StrategyKind::kGeneralizedBottomUp;
+  cfg.workload.num_objects = 500;
+  cfg.workload.seed = 31;
+  cfg.storage.wal.enabled = true;           // scratch log, removed on close
+  cfg.storage.wal.checkpoint_log_bytes = 0;  // manual checkpoints only
+  WorkloadGenerator workload(cfg.workload);
+  StrategyFixture fx = MakeFixture(cfg);
+  ASSERT_TRUE(BuildIndex(cfg, workload, &fx).ok());
+  IndexSystem& sys = *fx.system;
+  ConcurrentIndex index(&sys, fx.strategy.get(), fx.executor.get(),
+                        ConcurrencyOptions{});
+
+  // A checkpoint whose page sync fails ends durability for good.
+  sys.wal()->SetCheckpointHooks(WalManager::CheckpointHooks{
+      {}, {}, [] { return Status::IoError("fdatasync: EIO"); }, {}});
+  ASSERT_FALSE(sys.Checkpoint().ok());
+  const uint64_t records = sys.wal()->stats().records;
+
+  const Point from = workload.position(1);
+  const Point to{from.x + 0.01, from.y};
+  EXPECT_EQ(index.Update(1, from, to).code(), StatusCode::kIoError);
+  EXPECT_EQ(index.Insert(100000, to).code(), StatusCode::kIoError);
+  EXPECT_EQ(index.Delete(1, from).code(), StatusCode::kIoError);
+  std::vector<BatchUpdateOp> updates{{1, from, to, Status::OK()}};
+  EXPECT_FALSE(index.UpdateBatch(updates).ok());
+  EXPECT_EQ(updates[0].status.code(), StatusCode::kIoError);
+  std::vector<BatchInsertOp> inserts{{100000, to, Status::OK()}};
+  EXPECT_FALSE(index.InsertBatch(inserts).ok());
+  EXPECT_EQ(inserts[0].status.code(), StatusCode::kIoError);
+
+  // Nothing was mutated or logged, and queries still run.
+  EXPECT_EQ(sys.wal()->stats().records, records);
+  auto at_from = index.Query(Rect::FromPoint(from));
+  ASSERT_TRUE(at_from.ok());
+  EXPECT_GE(at_from.value(), 1u);
+  auto at_to = index.Query(Rect::FromPoint(to));
+  ASSERT_TRUE(at_to.ok());
+  EXPECT_EQ(at_to.value(), 0u);
+  EXPECT_TRUE(sys.tree().Validate().ok());
+}
+
 }  // namespace
 }  // namespace burtree

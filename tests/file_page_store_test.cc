@@ -1,7 +1,8 @@
 // FilePageStore tests against a real tmpdir file: PageStore-contract
 // parity with the in-memory PageFile, reopen-and-reread round trips,
-// write-back durability ordering (all pwrites land before the
-// fsync-on-flush call returns), and ReadPages partial-failure atomicity.
+// write-back durability ordering (all pwrites of a batch land before
+// the Sync that follows it returns), and ReadPages partial-failure
+// atomicity.
 #include "storage/file_page_store.h"
 
 #include <gtest/gtest.h>
@@ -169,9 +170,7 @@ TEST(FilePageStoreTest, CrashTornTailTruncatesToPageBoundaryAndReopens) {
 }
 
 TEST(FilePageStoreTest, FlushDirtyBatchIsDurableOrderedAndCounted) {
-  FilePageStoreOptions opts = BaseOptions("durable");
-  opts.fsync_on_flush = true;
-  auto f = MustOpen(opts);
+  auto f = MustOpen(BaseOptions("durable"));
   std::vector<PageId> ids{f->Allocate(), f->Allocate(), f->Allocate()};
   std::vector<std::vector<uint8_t>> imgs;
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -182,11 +181,13 @@ TEST(FilePageStoreTest, FlushDirtyBatchIsDurableOrderedAndCounted) {
     reqs.push_back(PageWriteRequest{ids[i], imgs[i].data()});
   }
   ASSERT_TRUE(f->FlushDirtyBatch(reqs).ok());
+  // The WAL checkpoint's page-side durability point.
+  ASSERT_TRUE(f->Sync().ok());
   EXPECT_EQ(f->io_stats().writes(), 3u);  // one counted write per page
-  // Ordering contract: by the time FlushDirtyBatch returned, every pwrite
-  // of the batch had been issued and fdatasync'd — an independent reader
-  // of the file (a second open, sharing nothing with our descriptor but
-  // the inode) must see the new bytes.
+  // Ordering contract: by the time Sync returned, every pwrite of the
+  // batch had been issued and fdatasync'd — an independent reader of the
+  // file (a second open, sharing nothing with our descriptor but the
+  // inode) must see the new bytes.
   {
     std::ifstream in(f->path(), std::ios::binary);
     ASSERT_TRUE(in.good());
@@ -252,26 +253,6 @@ TEST(FilePageStoreTest, BatchedIoHandlesGapsAndDuplicates) {
   EXPECT_EQ(out[2][0], 0x31);
   EXPECT_EQ(out[3][0], 0x30);
   EXPECT_EQ(out[4][0], 0x34);
-  std::remove(f->path().c_str());
-}
-
-TEST(FilePageStoreTest, DirectIoRequestWorksWithOrWithoutKernelSupport) {
-  FilePageStoreOptions opts = BaseOptions("direct");
-  opts.direct_io = true;  // tmpfs rejects O_DIRECT: must fall back cleanly
-  auto f = MustOpen(opts);
-  // Whether O_DIRECT stuck is filesystem-dependent; the contract is that
-  // the store works identically either way.
-  const PageId id = f->Allocate();
-  uint8_t in[kPageSize], out[kPageSize];
-  for (size_t i = 0; i < kPageSize; ++i) {
-    in[i] = static_cast<uint8_t>(i * 7);
-  }
-  ASSERT_TRUE(f->Write(id, in).ok());
-  ASSERT_TRUE(f->Read(id, out).ok());
-  EXPECT_EQ(std::memcmp(in, out, kPageSize), 0);
-  std::vector<PageReadRequest> reqs{{id, out}};
-  ASSERT_TRUE(f->ReadPages(reqs).ok());
-  EXPECT_EQ(std::memcmp(in, out, kPageSize), 0);
   std::remove(f->path().c_str());
 }
 

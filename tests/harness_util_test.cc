@@ -149,6 +149,30 @@ TEST(CliArgsTest, MalformedDoubleExitsTwo) {
               "bad number '0,03' for --max-move");
 }
 
+TEST(CliArgsTest, UnknownFlagExitsTwo) {
+  // A removed or mistyped flag must not run the defaults silently.
+  const char* argv[] = {"prog", "--objects=5", "--fsync", "--direct-io=1"};
+  CliArgs args(4, const_cast<char**>(argv));
+  EXPECT_EQ(args.GetInt("objects", 0), 5);
+  EXPECT_EXIT(args.ExitIfHelpRequested("prog"), ::testing::ExitedWithCode(2),
+              "unknown flag --direct-io\nunknown flag --fsync");
+  // --help still wins: usage, exit 0.
+  const char* with_help[] = {"prog", "--fsync", "--help"};
+  CliArgs help(3, const_cast<char**>(with_help));
+  EXPECT_EXIT(help.ExitIfHelpRequested("prog"), ::testing::ExitedWithCode(0),
+              "");
+}
+
+TEST(CliArgsTest, MalformedBoolExitsTwo) {
+  const char* argv[] = {"prog", "--wal", "tru", "--csv=no", "--smoke=1"};
+  CliArgs args(5, const_cast<char**>(argv));
+  EXPECT_FALSE(args.GetBool("csv", true));
+  EXPECT_TRUE(args.GetBool("smoke", false));
+  // A typo must not read as false.
+  EXPECT_EXIT(args.GetBool("wal", false), ::testing::ExitedWithCode(2),
+              "bad bool 'tru' for --wal");
+}
+
 TEST(CliArgsTest, MalformedScaleExitsTwo) {
   for (const char* bad : {"2x", "0", "-1", ""}) {
     EXPECT_EXIT(

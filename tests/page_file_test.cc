@@ -198,7 +198,6 @@ TEST(PageFileTest, SleepLatencyModelBlocksInsteadOfSpinning) {
   PageFile f(kPageSize);
   const PageId id = f.Allocate();
   f.set_io_latency_ns(2'000'000);  // 2 ms: well above sleep granularity
-  f.set_io_latency_model(PageFile::IoLatencyModel::kSleep);
   uint8_t buf[kPageSize];
   Stopwatch sw;
   ASSERT_TRUE(f.Read(id, buf).ok());

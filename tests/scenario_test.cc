@@ -26,7 +26,6 @@ read_mode: optimistic
 backend: file
 wal: true
 wal_group_commit_us: 150
-fsync: false
 io_engine: pool
 io_queue_depth: 8
 objects: 12345
@@ -117,7 +116,7 @@ TEST(ScenarioParseTest, RejectsMalformedSpecs) {
   // Bad enum values.
   EXPECT_FALSE(ParseScenario("strategy: BFS\n", "x").ok());
   EXPECT_FALSE(ParseScenario("latch_mode: hopeful\n", "x").ok());
-  // A removed latch mode and a removed key fail with their line number.
+  // A removed latch mode and removed keys fail with their line number.
   const struct {
     const char* text;
     const char* what;
@@ -126,6 +125,7 @@ TEST(ScenarioParseTest, RejectsMalformedSpecs) {
       {"threads: 2\nlatch_mode: subtree\n", "(want global|coupled)",
        "line 2"},
       {"expect_zero_escalations: true\n", "unknown key", "line 1"},
+      {"backend: file\nfsync: true\n", "unknown key 'fsync'", "line 2"},
   };
   for (const auto& c : removed) {
     auto spec = ParseScenario(c.text, "x");

@@ -1,6 +1,7 @@
 // WalManager unit tests: group-commit durability and fsync batching,
 // the log-before-flush invariant through a real BufferPool, checkpoint
-// truncation with LSN continuity, deferred frees, and the auto-scope
+// truncation with LSN continuity, failed checkpoints (page sync, flush,
+// directory sync after the rename), deferred frees, and the auto-scope
 // fallback. The fsync-ordering test reads the log back through an
 // independent file descriptor after WaitDurable — the same discipline
 // the FilePageStore fsync test applies to data pages, extended here to
@@ -8,13 +9,18 @@
 #include "storage/wal/wal_manager.h"
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -59,6 +65,28 @@ std::vector<uint8_t> ReadLogIndependently(const std::string& path) {
   }
   ::close(fd);
   return bytes;
+}
+
+/// The log's header base LSN and its first record, read independently.
+struct FirstRecord {
+  uint64_t base_lsn = 0;
+  WalRecord rec;
+  size_t consumed = 0;
+};
+
+FirstRecord ReadFirstRecord(const std::string& path) {
+  const std::vector<uint8_t> bytes = ReadLogIndependently(path);
+  FirstRecord f;
+  size_t page_size = 0;
+  EXPECT_TRUE(DecodeWalFileHeader(bytes.data(), bytes.size(), &page_size,
+                                  &f.base_lsn)
+                  .ok());
+  if (bytes.size() < kWalFileHeaderSize) return f;
+  EXPECT_EQ(DecodeWalRecord(bytes.data() + kWalFileHeaderSize,
+                            bytes.size() - kWalFileHeaderSize, kPageSize,
+                            f.base_lsn, &f.rec, &f.consumed),
+            WalDecodeResult::kOk);
+  return f;
 }
 
 TEST(WalManagerTest, AppendsAreDecodableThroughIndependentFdAfterWaitDurable) {
@@ -142,13 +170,7 @@ TEST(WalManagerTest, ScopedCaptureStampsPageLsnAndLogsOneRecord) {
   EXPECT_EQ(st.auto_scopes, 0u);
 
   ASSERT_TRUE(wal->WaitDurable(wal->appended_lsn()).ok());
-  const std::vector<uint8_t> bytes = ReadLogIndependently(wal->path());
-  WalRecord rec;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeWalRecord(bytes.data() + kWalFileHeaderSize,
-                            bytes.size() - kWalFileHeaderSize, kPageSize,
-                            0, &rec, &consumed),
-            WalDecodeResult::kOk);
+  const WalRecord rec = ReadFirstRecord(wal->path()).rec;
   ASSERT_EQ(rec.images.size(), 3u);
   // Apply the images in order, the way Replay does, and check the final
   // state of both pages — the re-dirtied page must end at 0x33.
@@ -269,27 +291,170 @@ TEST(WalManagerTest, CheckpointTruncatesAndPreservesLsnContinuity) {
   // The fresh file carries one checkpoint record holding the last-noted
   // root, stamped so that the stream resumes exactly at the old end:
   // base + record size == pre-checkpoint end LSN.
-  const std::vector<uint8_t> bytes = ReadLogIndependently(wal->path());
-  size_t page_size = 0;
-  uint64_t base_lsn = 0;
-  ASSERT_TRUE(DecodeWalFileHeader(bytes.data(), bytes.size(), &page_size,
-                                  &base_lsn)
-                  .ok());
-  EXPECT_LT(base_lsn, pre_ckpt);
-  WalRecord rec;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeWalRecord(bytes.data() + kWalFileHeaderSize,
-                            bytes.size() - kWalFileHeaderSize, kPageSize,
-                            base_lsn, &rec, &consumed),
-            WalDecodeResult::kOk);
-  EXPECT_EQ(rec.type, WalRecordType::kCheckpoint);
-  ASSERT_TRUE(rec.has_root);
-  EXPECT_EQ(base_lsn + consumed, pre_ckpt);
+  const FirstRecord first = ReadFirstRecord(wal->path());
+  EXPECT_LT(first.base_lsn, pre_ckpt);
+  EXPECT_EQ(first.rec.type, WalRecordType::kCheckpoint);
+  EXPECT_TRUE(first.rec.has_root);
+  EXPECT_EQ(first.base_lsn + first.consumed, pre_ckpt);
 
   // New appends after the checkpoint land right after the record.
   wal->NoteRootChange(42, 1);
   ASSERT_TRUE(wal->WaitDurable(wal->appended_lsn()).ok());
   EXPECT_GT(wal->appended_lsn(), post_ckpt);
+}
+
+TEST(WalManagerTest, FailedPageSyncStopsCheckpointsInsteadOfTruncating) {
+  WalManagerOptions o = BareOptions("syncfail");
+  // Above the bare file header, below header + the page's record: the
+  // committer's auto-checkpoint arms once that record is on disk.
+  o.checkpoint_log_bytes = 128;
+  auto wal = WalManager::MustOpen(o);
+  auto store = MustMakePageStore(MemStorage(), kPageSize);
+  BufferPool pool(store.get(), /*capacity=*/8);
+  pool.set_wal(wal.get());
+  std::atomic<int> syncs{0};
+  wal->SetCheckpointHooks(WalManager::CheckpointHooks{
+      [&] { return pool.FlushAll(); },
+      [&] { pool.WalCheckpointBeginSync(); },
+      [&] {
+        // EIO once, then success: Linux reports a failed write-back to
+        // one fdatasync only, and a retry returns 0 for the lost pages.
+        return syncs.fetch_add(1) == 0 ? Status::IoError("fdatasync: EIO")
+                                       : Status::OK();
+      },
+      [&] { return pool.WalDirtyRecFloor(); }});
+
+  PageId id;
+  {
+    WalOpScope scope(wal.get());
+    Page* p = pool.NewPage();
+    id = p->page_id();
+    std::memset(p->data(), 0x5A, kPageSize);
+    pool.UnpinPage(id, /*dirty=*/true);
+    wal->NoteRootChange(id, 0);
+  }
+  // Whichever checkpoint syncs first (this one or the committer's armed
+  // auto-checkpoint) fails, and the failure sticks: the flush already
+  // marked the frame clean, so a retry would find nothing to protect and
+  // cut the page's only durable copy out of the log.
+  EXPECT_FALSE(wal->Checkpoint().ok());
+  EXPECT_FALSE(wal->Checkpoint().ok());
+  EXPECT_EQ(wal->stats().checkpoints, 0u);
+  EXPECT_FALSE(wal->WaitDurable(wal->appended_lsn()).ok());
+  const int syncs_after = syncs.load();
+
+  // The log still starts at the original base with the page's record.
+  const FirstRecord first = ReadFirstRecord(wal->path());
+  EXPECT_EQ(first.base_lsn, 0u);
+  EXPECT_EQ(first.rec.type, WalRecordType::kOp);
+  ASSERT_EQ(first.rec.images.size(), 1u);
+  EXPECT_EQ(first.rec.images[0].id, id);
+
+  // The log is past the threshold, but the committer stops retrying.
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(20 * o.group_commit_us));
+  EXPECT_LE(syncs.load(), syncs_after + 1);
+
+  // Nothing can become durable any more: a later op's record is dropped
+  // instead of buffered, and its page stays out of the store
+  // (log-before-flush holds in the failed state too).
+  const WalStats before = wal->stats();
+  {
+    WalOpScope scope(wal.get());
+    auto p = pool.FetchPage(id);
+    ASSERT_TRUE(p.ok());
+    std::memset(p.value()->data(), 0x77, kPageSize);
+    pool.UnpinPage(id, /*dirty=*/true);
+  }
+  EXPECT_EQ(wal->stats().records, before.records);
+  EXPECT_EQ(wal->stats().appended_bytes, before.appended_bytes);
+  EXPECT_FALSE(wal->status().ok());
+  EXPECT_FALSE(pool.FlushPage(id).ok());
+  std::vector<uint8_t> on_store(kPageSize);
+  ASSERT_TRUE(store->Read(id, on_store.data()).ok());
+  EXPECT_EQ(on_store[0], 0x5A);
+  wal->QuiesceCheckpoints();  // the pool dies first
+}
+
+TEST(WalManagerTest, FailedCheckpointFlushBacksOffInsteadOfRetrying) {
+  WalManagerOptions o = BareOptions("flushfail");
+  // Any record past the file header arms the auto-checkpoint.
+  o.checkpoint_log_bytes = kWalFileHeaderSize;
+  auto wal = WalManager::MustOpen(o);
+  std::atomic<int> flushes{0};
+  wal->SetCheckpointHooks(WalManager::CheckpointHooks{
+      [&] {
+        flushes.fetch_add(1);
+        return Status::IoError("pwrite: EIO");
+      },
+      {}, {}, {}});
+  wal->NoteRootChange(1, 0);
+  ASSERT_TRUE(wal->WaitDurable(wal->appended_lsn()).ok());
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (flushes.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(o.group_commit_us));
+  }
+  ASSERT_EQ(flushes.load(), 1);
+  // The failure left the log as it was and is not sticky, but the
+  // committer holds off instead of re-running the flush every window.
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(20 * o.group_commit_us));
+  EXPECT_EQ(flushes.load(), 1);
+  EXPECT_TRUE(wal->status().ok());
+  wal->NoteRootChange(2, 0);
+  EXPECT_TRUE(wal->WaitDurable(wal->appended_lsn()).ok());
+  // A manual checkpoint is not held off.
+  EXPECT_FALSE(wal->Checkpoint().ok());
+  EXPECT_EQ(flushes.load(), 2);
+  EXPECT_EQ(wal->stats().checkpoints, 0u);
+}
+
+TEST(WalManagerTest, FailedDirectorySyncAfterRenameIsSticky) {
+  WalManagerOptions o = BareOptions("dirsync");
+  o.checkpoint_log_bytes = 0;  // manual checkpoints only
+  auto wal = WalManager::MustOpen(o);
+  for (PageId r = 1; r <= 5; ++r) wal->NoteRootChange(r, 2);
+  const uint64_t pre_ckpt = wal->appended_lsn();
+  ASSERT_TRUE(wal->WaitDurable(pre_ckpt).ok());
+
+  // Leave exactly one descriptor free: the checkpoint's fresh file takes
+  // it, the rename succeeds, and opening the directory to fsync the
+  // rename fails with EMFILE.
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 256);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> filler;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
+    filler.push_back(fd);
+  }
+  const bool filled = !filler.empty();
+  if (filled) {
+    ::close(filler.back());
+    filler.pop_back();
+  }
+  const Status s = filled ? wal->Checkpoint() : Status::OK();
+  for (const int fd : filler) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_TRUE(filled);
+  ASSERT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+  EXPECT_NE(s.ToString().find("open dir"), std::string::npos)
+      << s.ToString();
+
+  // The log's path names the fresh file now...
+  const FirstRecord first = ReadFirstRecord(wal->path());
+  EXPECT_EQ(first.rec.type, WalRecordType::kCheckpoint);
+  EXPECT_EQ(first.base_lsn + first.consumed, pre_ckpt);
+  // ...but a crash could still bring the old name back, so nothing
+  // appended from here on may be acknowledged as durable.
+  EXPECT_FALSE(wal->status().ok());
+  EXPECT_EQ(wal->stats().checkpoints, 0u);
+  wal->NoteRootChange(42, 1);
+  EXPECT_FALSE(wal->WaitDurable(wal->appended_lsn()).ok());
+  EXPECT_FALSE(wal->Checkpoint().ok());
 }
 
 TEST(WalManagerTest, DeferredFreeReleasesOnlyOnceDurable) {
