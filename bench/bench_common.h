@@ -16,7 +16,6 @@
 #include "harness/cli.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
-#include "storage/async_io.h"
 #include "storage/page_store.h"
 
 namespace burtree::bench {
@@ -64,15 +63,6 @@ struct BenchArgs {
                    backend.c_str());
       std::exit(2);
     }
-    const std::string io = cli.GetString("io-engine", "sync");
-    if (!ParseIoEngine(io, &a.storage.io_engine)) {
-      std::fprintf(stderr,
-                   "unknown --io-engine '%s' (want sync|pool|uring)\n",
-                   io.c_str());
-      std::exit(2);
-    }
-    a.storage.io_queue_depth =
-        static_cast<size_t>(cli.GetInt("io-depth", 16));
     a.storage.wal.enabled = cli.GetBool("wal", false);
     a.storage.wal.dir = cli.GetString("wal-dir", "");
     a.storage.wal.group_commit_us =
@@ -132,10 +122,6 @@ inline void PrintHeader(const std::string& title, const BenchArgs& a) {
   std::string backend = StorageBackendName(a.storage.backend);
   if (!a.storage.file_dir.empty()) backend += ":" + a.storage.file_dir;
   if (a.storage.wal.enabled) backend += "+wal";
-  if (a.storage.io_engine != IoEngineKind::kSync) {
-    backend += std::string("+") + IoEngineName(a.storage.io_engine) +
-               "@qd" + std::to_string(a.storage.io_queue_depth);
-  }
   std::printf(
       "workload: %llu objects, %llu updates, %llu queries, max-move %.3f, "
       "buffer %.1f%% (%zu shard%s), backend %s, dist %s, seed %llu\n\n",

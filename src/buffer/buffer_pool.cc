@@ -18,17 +18,7 @@ BufferPool::BufferPool(PageStore* file, size_t capacity, size_t shards)
   RecomputeShardCapacities();
 }
 
-BufferPool::~BufferPool() {
-  // Prefetch completions run on the store's engine threads and touch
-  // shard state: wait them out before tearing anything down. (Demand
-  // misses are caller-synchronous, so an empty miss table means no read
-  // references this pool at all; FlushAll below drains write-backs.)
-  for (auto& sp : shards_) {
-    std::unique_lock lock(sp->mu);
-    sp->miss_cv.wait(lock, [&] { return sp->miss_inflight.empty(); });
-  }
-  (void)FlushAll();
-}
+BufferPool::~BufferPool() { (void)FlushAll(); }
 
 size_t BufferPool::shard_capacity(size_t s) const {
   // Even split with the remainder spread over the low shards, so the
@@ -103,29 +93,7 @@ StatusOr<Page*> BufferPool::FetchPage(PageId id) {
   shard.miss_inflight.insert(id);
   lock.unlock();
   auto f = std::make_unique<Frame>(file_->page_size());
-  Status s;
-  if (file_->supports_async_io()) {
-    // Route the miss through the store's async engine so it overlaps
-    // with queued prefetches and write-backs on the same device instead
-    // of cutting ahead of them; the caller still blocks (it needs the
-    // bytes), so the wait is a local rendezvous with the completion.
-    std::mutex m;
-    std::condition_variable cv;
-    bool landed = false;
-    std::vector<PageReadRequest> one;
-    one.push_back(PageReadRequest{id, f->page.data()});
-    file_->SubmitReadPages(
-        std::move(one), [&](PageId, size_t, Status st) {
-          std::lock_guard<std::mutex> g(m);
-          s = st;
-          landed = true;
-          cv.notify_one();
-        });
-    std::unique_lock<std::mutex> g(m);
-    cv.wait(g, [&] { return landed; });
-  } else {
-    s = file_->Read(id, f->page.data());
-  }
+  const Status s = file_->Read(id, f->page.data());
   lock.lock();
   shard.miss_inflight.erase(id);
   shard.miss_cv.notify_all();
@@ -148,32 +116,6 @@ Page* BufferPool::NewPage() {
   PageId id = file_->Allocate();  // the PageStore has its own latch
   Shard& shard = ShardFor(id);
   std::unique_lock lock(shard.mu);
-  if (file_->supports_async_io()) {
-    // A prefetch of this slot's previous incarnation can race the
-    // free/reuse cycle: its read may still be in flight, or a stale
-    // clean frame may already sit in the pool. Wait the I/O out and
-    // drop any stale frame (waiting out a transient optimistic-reader
-    // pin like DeletePage does) before publishing the fresh page — a
-    // duplicate emplace would silently fail and dangle.
-    for (;;) {
-      WaitForPageIo(shard, lock, id);
-      auto stale = shard.frames.find(id);
-      if (stale == shard.frames.end()) break;
-      Frame* sf = stale->second.get();
-      if (sf->page.pin_count() == 0) {
-        if (sf->in_lru) shard.lru.erase(sf->lru_it);
-        shard.frames.erase(stale);
-        break;
-      }
-      ++shard.delete_waiters;
-      shard.pin_cv.wait(lock, [&] {
-        auto it2 = shard.frames.find(id);
-        return it2 == shard.frames.end() ||
-               it2->second->page.pin_count() == 0;
-      });
-      --shard.delete_waiters;
-    }
-  }
   auto f = std::make_unique<Frame>(file_->page_size());
   f->page.set_page_id(id);
   f->page.set_dirty(true);  // fresh page must reach disk eventually
@@ -182,82 +124,6 @@ Page* BufferPool::NewPage() {
   shard.frames.emplace(id, std::move(f));
   EvictToCapacity(shard, lock);
   return page;
-}
-
-void BufferPool::PrefetchPages(const std::vector<PageId>& ids) {
-  if (ids.empty() || !file_->supports_async_io() || capacity() == 0) {
-    return;
-  }
-  // Bucket by shard so each shard pays one latch acquisition and the
-  // store sees the whole bucket at once (contiguous ids fuse into
-  // vectored runs down there).
-  std::vector<std::vector<PageId>> buckets(shards_.size());
-  for (PageId id : ids) buckets[shard_of(id)].push_back(id);
-  for (size_t si = 0; si < buckets.size(); ++si) {
-    if (buckets[si].empty()) continue;
-    Shard* sp = shards_[si].get();
-    // The frames ride from submit to completion in this closure-owned
-    // map; completions extract their run's entries under the latch.
-    auto pending = std::make_shared<
-        std::unordered_map<PageId, std::unique_ptr<Frame>>>();
-    std::vector<PageReadRequest> reqs;
-    {
-      std::unique_lock lock(sp->mu);
-      for (PageId id : buckets[si]) {
-        // Fill free room only — counting in-flight prefetches — so a
-        // completion never has to evict to publish.
-        if (sp->frames.size() + sp->prefetch_inflight >= sp->capacity) {
-          break;
-        }
-        if (sp->frames.count(id) != 0 || sp->writeback.count(id) != 0 ||
-            sp->miss_inflight.count(id) != 0 || pending->count(id) != 0) {
-          continue;
-        }
-        auto f = std::make_unique<Frame>(file_->page_size());
-        reqs.push_back(PageReadRequest{id, f->page.data()});
-        pending->emplace(id, std::move(f));
-        sp->miss_inflight.insert(id);
-        ++sp->prefetch_inflight;
-      }
-    }
-    if (reqs.empty()) continue;
-    file_->SubmitReadPages(
-        std::move(reqs),
-        [this, sp, pending](PageId first, size_t count, Status s) {
-          std::unique_lock<std::mutex> lock(sp->mu);
-          for (size_t i = 0; i < count; ++i) {
-            const PageId id = first + static_cast<PageId>(i);
-            auto it = pending->find(id);
-            BURTREE_CHECK(it != pending->end());
-            std::unique_ptr<Frame> f = std::move(it->second);
-            pending->erase(it);
-            sp->miss_inflight.erase(id);
-            --sp->prefetch_inflight;
-            if (s.ok() && sp->frames.size() < sp->capacity &&
-                sp->frames.count(id) == 0 && sp->writeback.count(id) == 0) {
-              f->page.set_page_id(id);
-              f->page.set_dirty(false);
-              if (wal_ != nullptr) {
-                // Same rationale as the demand-miss path: loaded bytes
-                // are a logged state, hence a valid diff base.
-                f->page.CreateWalShadow(f->page.data());
-              }
-              Frame* fp = f.get();
-              sp->frames.emplace(id, std::move(f));
-              sp->lru.push_front(id);
-              fp->lru_it = sp->lru.begin();
-              fp->in_lru = true;
-              ++sp->stats.prefetched;
-            } else {
-              // Read failed, the page landed some other way, or the
-              // room promised at submit shrank (Resize): advisory read,
-              // so just drop it.
-              ++sp->stats.prefetch_dropped;
-            }
-          }
-          sp->miss_cv.notify_all();
-        });
-  }
 }
 
 void BufferPool::UnpinPage(PageId id, bool dirty) {
@@ -538,23 +404,6 @@ void BufferPool::EvictToCapacity(Shard& shard,
   // The batch's data pointers stay valid: the in-flight frames are owned
   // by shard.writeback and nobody touches them until the cv fires.
   lock.unlock();
-  if (file_->supports_async_io()) {
-    // Submit-and-return: the engine's completion thread re-latches and
-    // settles the write-back table, so this caller resumes immediately
-    // while the group write overlaps its simulated seek in the queue.
-    // Submitting latch-free matters even here — a validation failure
-    // invokes the callback inline on this thread, which would
-    // self-deadlock on a held latch.
-    Shard* sp = &shard;
-    file_->SubmitFlushDirtyBatch(
-        std::move(batch),
-        [this, sp, ids = std::move(dirty_ids)](Status s) {
-          std::unique_lock<std::mutex> l2(sp->mu);
-          FinishWritebackLocked(*sp, ids, s);
-        });
-    lock.lock();
-    return;
-  }
   const Status flush_status = file_->FlushDirtyBatch(batch);
   lock.lock();
   FinishWritebackLocked(shard, dirty_ids, flush_status);

@@ -98,17 +98,6 @@ class BufferPool {
   /// Discards the frame (must be unpinned) and frees the disk page.
   Status DeletePage(PageId id);
 
-  /// Advisory read-ahead: asynchronously loads `ids` into the pool when
-  /// the store has an async I/O engine; a no-op on a synchronous store
-  /// or a pass-through pool. Only free shard room is filled — prefetch
-  /// completions never evict — and pages already resident or mid-I/O
-  /// are skipped. Completions that lose a race (read failed, page
-  /// landed some other way, room ran out) are dropped and counted in
-  /// stats.prefetch_dropped; published pages count as stats.prefetched.
-  /// A demand FetchPage of an in-flight prefetch waits on the shard's
-  /// miss table instead of issuing a duplicate read.
-  void PrefetchPages(const std::vector<PageId>& ids);
-
   /// Re-sizes the pool; excess unpinned frames are evicted immediately
   /// (dirty victims leave in one group write per shard).
   void Resize(size_t capacity);
@@ -185,10 +174,6 @@ class BufferPool {
     /// DeletePage is waiting out a transient pin (see delete_waiters).
     std::condition_variable pin_cv;
     int delete_waiters = 0;
-    /// Prefetch reads currently in flight for this shard (each also has
-    /// a miss_inflight entry). Counted against the shard's free room at
-    /// submit time so completions never have to evict.
-    size_t prefetch_inflight = 0;
     BufferStats stats;
     size_t capacity = 0;
   };
@@ -197,16 +182,12 @@ class BufferPool {
 
   /// Detaches LRU victims under `lock`, then — if any were dirty —
   /// releases the latch, writes them back as one group write, re-latches
-  /// and clears the in-flight table. `lock` is held again on return. On
-  /// an async-capable store the group write is *submitted* instead and
-  /// the engine's completion thread settles the write-back table; this
-  /// call returns without waiting for the I/O.
+  /// and clears the in-flight table. `lock` is held again on return.
   void EvictToCapacity(Shard& shard, std::unique_lock<std::mutex>& lock);
   /// Settles a landed (or failed) eviction write-back: clears the
   /// in-flight entries on success, re-adopts the victims as dirty
   /// resident frames on error, and notifies writeback_cv. Shard latch
-  /// held; runs on the evicting thread (sync store) or the engine's
-  /// completion thread (async store).
+  /// held; runs on the evicting thread.
   void FinishWritebackLocked(Shard& shard,
                              const std::vector<PageId>& dirty_ids,
                              const Status& flush_status);

@@ -10,12 +10,11 @@ std::string BufferStats::ToString() const {
   std::snprintf(
       buf, sizeof(buf),
       "BufferStats{hits=%llu, misses=%llu, evictions=%llu, flushes=%llu, "
-      "prefetched=%llu, hit_rate=%.3f}",
+      "hit_rate=%.3f}",
       static_cast<unsigned long long>(hits),
       static_cast<unsigned long long>(misses),
       static_cast<unsigned long long>(evictions),
-      static_cast<unsigned long long>(flushes),
-      static_cast<unsigned long long>(prefetched), hit_rate());
+      static_cast<unsigned long long>(flushes), hit_rate());
   return buf;
 }
 

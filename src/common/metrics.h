@@ -17,10 +17,7 @@ class IoStats {
   void RecordRead() { reads_.fetch_add(1, std::memory_order_relaxed); }
   void RecordWrite() { writes_.fetch_add(1, std::memory_order_relaxed); }
   void RecordBufferHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
-  /// Batched variants for the group read / write-back paths.
-  void RecordReads(uint64_t n) {
-    reads_.fetch_add(n, std::memory_order_relaxed);
-  }
+  /// Batched variant for the group write-back path.
   void RecordWrites(uint64_t n) {
     writes_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -72,20 +69,12 @@ struct BufferStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t flushes = 0;
-  /// Pages published into the pool by async prefetch (PrefetchPages);
-  /// a later FetchPage of one counts as a plain hit on top.
-  uint64_t prefetched = 0;
-  /// Prefetch reads dropped at completion: read failed, the page raced
-  /// in via a demand miss, or the shard had no free room left.
-  uint64_t prefetch_dropped = 0;
 
   BufferStats& operator+=(const BufferStats& o) {
     hits += o.hits;
     misses += o.misses;
     evictions += o.evictions;
     flushes += o.flushes;
-    prefetched += o.prefetched;
-    prefetch_dropped += o.prefetch_dropped;
     return *this;
   }
   double hit_rate() const {

@@ -14,17 +14,7 @@ enum class StorageBackend {
   kMem,   ///< In-memory simulated disk (PageFile) — the default; counted
           ///< I/O with optional synthetic latency, nothing persisted.
   kFile,  ///< Real file via POSIX pread/pwrite (FilePageStore), with
-          ///< preadv/pwritev batching.
-};
-
-/// Which asynchronous I/O engine the file backend (and the WAL
-/// committer) submits through (storage/async_io.h for the contract and
-/// docs/STORAGE.md for the engine-choice guide).
-enum class IoEngineKind {
-  kSync,   ///< No engine: the classic blocking pread/pwrite paths.
-  kPool,   ///< Submission/completion thread pool (portable fallback).
-  kUring,  ///< Raw-syscall Linux io_uring; falls back to kPool when
-           ///< io_uring_setup is unavailable at runtime.
+          ///< pwritev batching for write-backs.
 };
 
 /// Write-ahead-log policy (storage/wal). Durability is per IndexSystem:
@@ -73,18 +63,6 @@ struct StorageOptions {
   /// crash-recovery path reopens it with truncate=false and replays the
   /// WAL into it.
   std::string file_path;
-
-  /// Asynchronous I/O engine for the file backend's batched reads and
-  /// dirty write-backs and for the WAL's group-commit appends
-  /// (`--io-engine sync|pool|uring`). kSync keeps every path blocking;
-  /// the mem backend ignores this entirely.
-  IoEngineKind io_engine = IoEngineKind::kSync;
-
-  /// Target number of concurrently in-flight async units (`--io-depth`):
-  /// the pool engine's worker count, the uring engine's in-flight SQE
-  /// cap. Overlap only pays when this exceeds the thread count —
-  /// prefetch depth ≫ threads is the whole point (docs/STORAGE.md).
-  size_t io_queue_depth = 16;
 
   WalOptions wal;
 };

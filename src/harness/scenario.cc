@@ -15,7 +15,6 @@
 #include "cc/backoff.h"
 #include "common/parse.h"
 #include "ingest/ingest_pool.h"
-#include "storage/async_io.h"
 
 namespace burtree {
 
@@ -160,14 +159,6 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
     } else if (key == "wal_group_commit_us") {
       if (!parse_u64()) return bad_u64();
       spec.base.storage.wal.group_commit_us = u64_v;
-    } else if (key == "io_engine") {
-      if (!ParseIoEngine(value, &spec.base.storage.io_engine)) {
-        return err("unknown io_engine '" + value +
-                   "' (want sync|pool|uring)");
-      }
-    } else if (key == "io_queue_depth") {
-      if (!parse_u64()) return bad_u64();
-      spec.base.storage.io_queue_depth = static_cast<size_t>(u64_v);
     } else if (key == "objects") {
       if (!parse_u64()) return bad_u64();
       spec.base.workload.num_objects = u64_v;

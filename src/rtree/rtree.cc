@@ -823,19 +823,9 @@ Status RTree::Query(const Rect& window, const QueryCallback& cb) {
         if (e.rect.Intersects(window)) cb(e.oid, e.rect);
       }
     } else {
-      const size_t first_new = stack.size();
       for (uint32_t i = 0; i < v.count(); ++i) {
         const InternalEntry e = v.internal_entry(i);
         if (e.rect.Intersects(window)) stack.push_back(e.child);
-      }
-      // Batch-prefetch the just-pushed frontier (no-op on a synchronous
-      // store): the next iterations fetch exactly these pages, and the
-      // async engine overlaps their misses instead of paying one device
-      // round-trip each.
-      if (stack.size() > first_new) {
-        pool_->PrefetchPages(std::vector<PageId>(
-            stack.begin() + static_cast<ptrdiff_t>(first_new),
-            stack.end()));
       }
     }
   }
@@ -867,16 +857,10 @@ Status RTree::QuerySubtreeCoupled(PageId page, const Rect& window,
           if (e.rect.Intersects(window)) matches.push_back(e);
         }
       } else {
-        // Collect the matching children first and batch-prefetch them
-        // (no-op on a synchronous store), so the latch+visit loop below
-        // overlaps its leaf misses instead of serializing them.
-        std::vector<PageId> children;
         for (uint32_t i = 0; i < v.count(); ++i) {
           const InternalEntry e = v.internal_entry(i);
-          if (e.rect.Intersects(window)) children.push_back(e.child);
-        }
-        pool_->PrefetchPages(children);
-        for (PageId child : children) {
+          if (!e.rect.Intersects(window)) continue;
+          const PageId child = e.child;
           if (!hooks->TryAcquireShared(child)) {
             contended = true;
             break;

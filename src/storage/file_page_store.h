@@ -1,8 +1,8 @@
 // FilePageStore: the real-file PageStore — POSIX pread/pwrite against a
-// backing file, with preadv/pwritev batching for the group read and
-// write-back paths. Lets the same buffer pool and benches run against a
-// real device (or tmpfs) instead of the simulated in-memory disk; pages
-// become durable only at Sync(), which the WAL checkpoint calls.
+// backing file, with pwritev batching for the group write-back path.
+// Lets the same buffer pool and benches run against a real device (or
+// tmpfs) instead of the simulated in-memory disk; pages become durable
+// only at Sync(), which the WAL checkpoint calls.
 // Contract and backend-choice guidance in docs/STORAGE.md.
 #pragma once
 
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "storage/async_io.h"
 #include "storage/page_store.h"
 
 namespace burtree {
@@ -33,15 +32,6 @@ struct FilePageStoreOptions {
   /// scratch space the kernel reclaims when the store closes (used by
   /// MakePageStore so bench runs leave nothing behind).
   bool unlink_after_open = false;
-
-  /// Asynchronous engine for SubmitReadPages / SubmitFlushDirtyBatch
-  /// (storage/async_io.h). kSync attaches no engine: the Submit* paths
-  /// fall back to their synchronous base implementations and
-  /// supports_async_io() stays false.
-  IoEngineKind io_engine = IoEngineKind::kSync;
-
-  /// Engine queue depth (in-flight unit target); see StorageOptions.
-  size_t io_queue_depth = 16;
 };
 
 /// Real-file page store. Pages live at byte offset `id * page_size`.
@@ -69,13 +59,7 @@ class FilePageStore final : public PageStore {
   Status Free(PageId id) override;
   Status Read(PageId id, uint8_t* out) override;
   Status Write(PageId id, const uint8_t* in) override;
-  Status ReadPages(const std::vector<PageReadRequest>& reqs) override;
   Status FlushDirtyBatch(const std::vector<PageWriteRequest>& reqs) override;
-  bool supports_async_io() const override { return engine_ != nullptr; }
-  void SubmitReadPages(std::vector<PageReadRequest> reqs,
-                       ReadRunFn on_run) override;
-  void SubmitFlushDirtyBatch(std::vector<PageWriteRequest> reqs,
-                             std::function<void(Status)> done) override;
   size_t live_pages() const override;
   size_t allocated_slots() const override;
 
@@ -83,9 +67,6 @@ class FilePageStore final : public PageStore {
   Status Sync() override;
 
   const std::string& path() const { return options_.path; }
-  /// The engine actually running: kSync without one, else the created
-  /// engine's kind (kPool after a uring setup fallback).
-  IoEngineKind io_engine_active() const;
 
  private:
   FilePageStore(FilePageStoreOptions options, int fd,
@@ -96,13 +77,10 @@ class FilePageStore final : public PageStore {
     return static_cast<off_t>(id) * static_cast<off_t>(page_size());
   }
   // Data transfers go through the hookable resume loops in
-  // storage/async_io.h (io::PreadFully & co.), shared with the engines.
+  // storage/file_io.h (io::PreadFully & co.), shared with the WAL.
 
   FilePageStoreOptions options_;
   int fd_ = -1;
-  /// Null when io_engine == kSync. Destroyed (drained) before fd_
-  /// closes, so in-flight units never race the close.
-  std::unique_ptr<AsyncIoEngine> engine_;
   mutable std::shared_mutex mu_;
   std::vector<bool> live_;
   std::vector<PageId> free_list_;

@@ -56,23 +56,6 @@ Status PageFile::Write(PageId id, const uint8_t* in) {
   return Status::OK();
 }
 
-Status PageFile::ReadPages(const std::vector<PageReadRequest>& reqs) {
-  if (reqs.empty()) return Status::OK();
-  {
-    std::shared_lock lock(mu_);
-    for (const auto& r : reqs) {
-      if (!IsLiveLocked(r.id)) {
-        return Status::InvalidArgument("ReadPages of non-live page");
-      }
-    }
-    for (const auto& r : reqs) {
-      std::memcpy(r.out, slots_[r.id].get(), page_size());
-    }
-  }
-  CountReads(reqs.size());
-  return Status::OK();
-}
-
 Status PageFile::FlushDirtyBatch(const std::vector<PageWriteRequest>& reqs) {
   if (reqs.empty()) return Status::OK();
   {

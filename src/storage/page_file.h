@@ -33,7 +33,6 @@ class PageFile final : public PageStore {
   Status Free(PageId id) override;
   Status Read(PageId id, uint8_t* out) override;
   Status Write(PageId id, const uint8_t* in) override;
-  Status ReadPages(const std::vector<PageReadRequest>& reqs) override;
   Status FlushDirtyBatch(const std::vector<PageWriteRequest>& reqs) override;
   size_t live_pages() const override;
   size_t allocated_slots() const override;

@@ -36,39 +36,10 @@ void PageStore::CountWrite() {
   ChargeLatency();
 }
 
-void PageStore::CountReads(uint64_t n) {
-  stats_.RecordReads(n);
-  tls_io_count += n;
-  ChargeLatency();  // once per batch: the group read amortizes the seek
-}
-
 void PageStore::CountWrites(uint64_t n) {
   stats_.RecordWrites(n);
   tls_io_count += n;
   ChargeLatency();  // once per batch: the group write amortizes the seek
-}
-
-void PageStore::CountReadsCompleted(uint64_t n) {
-  stats_.RecordReads(n);
-  tls_io_count += n;  // lands on the engine thread, not the submitter
-}
-
-void PageStore::CountWritesCompleted(uint64_t n) {
-  stats_.RecordWrites(n);
-  tls_io_count += n;
-}
-
-void PageStore::SubmitReadPages(std::vector<PageReadRequest> reqs,
-                                ReadRunFn on_run) {
-  // Synchronous default (no engine): read page by page, complete inline.
-  for (const auto& r : reqs) {
-    on_run(r.id, 1, Read(r.id, r.out));
-  }
-}
-
-void PageStore::SubmitFlushDirtyBatch(std::vector<PageWriteRequest> reqs,
-                                      std::function<void(Status)> done) {
-  done(FlushDirtyBatch(reqs));
 }
 
 void PageStore::ChargeLatency() const {
@@ -123,8 +94,6 @@ StatusOr<std::unique_ptr<PageStore>> MakePageStore(const StorageOptions& opts,
   FilePageStoreOptions fopts;
   fopts.page_size = page_size;
   fopts.truncate = true;
-  fopts.io_engine = opts.io_engine;
-  fopts.io_queue_depth = opts.io_queue_depth;
   if (!opts.file_path.empty()) {
     // Explicit persistent path (crash-recovery setups): the file keeps
     // its name and survives the process, so a recovering run can reopen

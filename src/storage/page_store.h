@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,13 +17,6 @@
 #include "common/types.h"
 
 namespace burtree {
-
-/// One page of a batched read: the destination buffer must hold
-/// page_size() bytes.
-struct PageReadRequest {
-  PageId id = kInvalidPageId;
-  uint8_t* out = nullptr;
-};
 
 /// One page of a batched write-back.
 struct PageWriteRequest {
@@ -69,46 +61,11 @@ class PageStore {
   /// disk write.
   virtual Status Write(PageId id, const uint8_t* in) = 0;
 
-  /// Batched read. Counts one disk read *per page* (the paper's metric is
-  /// access count) but charges the synthetic latency only once per batch —
-  /// a group read amortizes the seek, not the transfers; the file backend
-  /// likewise turns each contiguous id run into one preadv call. Fails
-  /// before copying anything if any id is not live.
-  virtual Status ReadPages(const std::vector<PageReadRequest>& reqs) = 0;
-
-  /// Batched write-back of dirty frames: the group-write counterpart of
-  /// ReadPages (one latency charge per batch; one pwritev per contiguous
-  /// run on the file backend; IoStats still counts one write per page).
+  /// Batched write-back of dirty frames (one latency charge per batch;
+  /// one pwritev per contiguous run on the file backend; IoStats still
+  /// counts one write per page — the paper's metric is access count).
   /// Fails before writing anything if any id is not live.
   virtual Status FlushDirtyBatch(const std::vector<PageWriteRequest>& reqs) = 0;
-
-  /// Per-contiguous-run completion for SubmitReadPages: the run covers
-  /// page ids [first, first + count) of the submitted batch (runs are
-  /// maximal ascending-id sequences, so the ids are implied). Invoked
-  /// once per run, from an engine thread, with no store lock held.
-  using ReadRunFn = std::function<void(PageId first, size_t count, Status)>;
-
-  /// Whether the Submit* paths below actually overlap (an async engine
-  /// is attached). False here and for every store without one — callers
-  /// (the buffer pool's prefetch, the WAL) gate on this and keep their
-  /// blocking paths otherwise.
-  virtual bool supports_async_io() const { return false; }
-
-  /// Batched asynchronous read: sorts the batch, fuses contiguous-id
-  /// runs, submits one unit per run, and invokes `on_run` per run as it
-  /// lands. Dead ids complete inline as failed single-page runs instead
-  /// of poisoning the batch (prefetch is advisory — a raced Free must
-  /// not kill the live reads). The base implementation is synchronous:
-  /// it reads page by page and completes inline on the calling thread.
-  virtual void SubmitReadPages(std::vector<PageReadRequest> reqs,
-                               ReadRunFn on_run);
-
-  /// Batched asynchronous write-back: like FlushDirtyBatch but submit +
-  /// reap — `done` fires exactly once, from an engine thread, after
-  /// every run of the batch landed (first error wins). The base
-  /// implementation calls FlushDirtyBatch and completes inline.
-  virtual void SubmitFlushDirtyBatch(std::vector<PageWriteRequest> reqs,
-                                     std::function<void(Status)> done);
 
   /// Number of pages ever allocated and still live (excludes freed).
   virtual size_t live_pages() const = 0;
@@ -147,18 +104,11 @@ class PageStore {
  protected:
   /// Accounting helpers for implementations: bump IoStats and the
   /// calling thread's counter, then charge the synthetic latency (once,
-  /// also for the batched variants — the group amortizes the seek).
+  /// also for a batched write-back — the group amortizes the seek).
   void CountRead();
   void CountWrite();
-  void CountReads(uint64_t n);
   void CountWrites(uint64_t n);
   void ChargeLatency() const;
-  /// Completion-side accounting for the async paths: bump the counters
-  /// without charging the synthetic latency — the engine already slept
-  /// out each unit's deadline (IoRequest::latency_ns), so charging here
-  /// would bill the simulated seek twice.
-  void CountReadsCompleted(uint64_t n);
-  void CountWritesCompleted(uint64_t n);
 
  private:
   const size_t page_size_;

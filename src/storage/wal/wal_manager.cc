@@ -12,6 +12,7 @@
 
 #include "buffer/buffer_pool.h"
 #include "common/logging.h"
+#include "storage/file_io.h"
 #include "storage/page_store.h"
 
 namespace burtree {
@@ -66,20 +67,15 @@ Status Errno(const char* what, const std::string& path) {
                          std::strerror(errno));
 }
 
-/// pwrite resume loop (short writes are legal on regular files too).
+/// Names the log file in a failed transfer's error.
+Status WithPath(const Status& s, const std::string& path) {
+  return s.ok() ? s : Status::IoError(s.message() + " (" + path + ")");
+}
+
+/// The shared pwrite resume loop (io::PwriteFully), naming the log file.
 Status PwriteAll(int fd, const uint8_t* buf, size_t len, off_t off,
                  const std::string& path) {
-  while (len > 0) {
-    const ssize_t n = ::pwrite(fd, buf, len, off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("pwrite", path);
-    }
-    buf += n;
-    len -= static_cast<size_t>(n);
-    off += n;
-  }
-  return Status::OK();
+  return WithPath(io::PwriteFully(fd, buf, len, off), path);
 }
 
 /// pread->pwrite copy of a raw byte range between two fds, in chunks.
@@ -87,21 +83,16 @@ Status CopyRawRange(int from_fd, uint64_t from_off, int to_fd,
                     uint64_t to_off, uint64_t len, const std::string& path) {
   std::vector<uint8_t> chunk(std::min<uint64_t>(len, 1 << 20));
   while (len > 0) {
-    const size_t want = static_cast<size_t>(
+    const size_t n = static_cast<size_t>(
         std::min<uint64_t>(len, chunk.size()));
-    const ssize_t n =
-        ::pread(from_fd, chunk.data(), want, static_cast<off_t>(from_off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("pread", path);
-    }
-    if (n == 0) return Status::IoError("short WAL copy: " + path);
-    BURTREE_RETURN_IF_ERROR(PwriteAll(to_fd, chunk.data(),
-                                      static_cast<size_t>(n),
+    BURTREE_RETURN_IF_ERROR(WithPath(
+        io::PreadFully(from_fd, chunk.data(), n, static_cast<off_t>(from_off)),
+        path));
+    BURTREE_RETURN_IF_ERROR(PwriteAll(to_fd, chunk.data(), n,
                                       static_cast<off_t>(to_off), path));
-    from_off += static_cast<uint64_t>(n);
-    to_off += static_cast<uint64_t>(n);
-    len -= static_cast<uint64_t>(n);
+    from_off += n;
+    to_off += n;
+    len -= n;
   }
   return Status::OK();
 }
@@ -163,9 +154,7 @@ std::unique_ptr<WalManager> WalManager::MustOpen(
 WalManager::WalManager(const WalManagerOptions& options, int fd)
     : options_(options),
       fd_(fd),
-      file_write_off_(kWalFileHeaderSize),
-      engine_(AsyncIoEngine::Create(options.io_engine,
-                                    options.io_queue_depth)) {
+      file_write_off_(kWalFileHeaderSize) {
   committer_ = std::thread([this] { CommitterLoop(); });
 }
 
@@ -176,17 +165,12 @@ WalManager::~WalManager() {
     while (!buf_.empty() && io_error_.ok()) {
       FlushLocked(lk).ok();  // sticky error is inspected below
     }
-    // An async FlushLocked returns at submit: wait out the in-flight
-    // append so its completion (which locks mu_) runs while the manager
-    // is fully alive.
-    while (write_in_progress_) durable_cv_.wait(lk);
     DrainFreesLocked(/*durable=*/next_lsn_);  // clean close: release all
     stop_ = true;
   }
   work_cv_.notify_all();
   durable_cv_.notify_all();
   committer_.join();
-  engine_.reset();  // drains; must precede the close below
   if (fd_ >= 0) ::close(fd_);
   if (options_.delete_on_close) ::unlink(options_.path.c_str());
 }
@@ -283,37 +267,6 @@ Status WalManager::FlushLocked(std::unique_lock<std::mutex>& lk) {
   const uint64_t off = file_write_off_;
   file_write_off_ += flush_buf_.size();
   write_in_progress_ = true;
-
-  if (engine_ != nullptr) {
-    // Async append: submit the fdatasync-linked unit under mu_ (Submit
-    // never blocks on the device) and return at once — the caller keeps
-    // batching the next window; the completion publishes durable_lsn_
-    // and wakes the durable_cv_ waiters. flush_buf_ stays untouched
-    // until then: every other claimant waits out write_in_progress_.
-    const uint64_t batch_bytes = flush_buf_.size();
-    IoRequest req;
-    req.op = IoRequest::Op::kWrite;
-    req.fd = fd_;
-    req.offset = static_cast<off_t>(off);
-    req.iov.push_back({flush_buf_.data(), flush_buf_.size()});
-    req.datasync_after = true;
-    req.done = [this, end_lsn, batch_bytes](Status s) {
-      std::lock_guard<std::mutex> lk2(mu_);
-      write_in_progress_ = false;
-      if (s.ok()) {
-        durable_lsn_ = std::max(durable_lsn_, end_lsn);
-        stats_.fsyncs++;
-        stats_.max_group_bytes =
-            std::max<uint64_t>(stats_.max_group_bytes, batch_bytes);
-        DrainFreesLocked(durable_lsn_);
-      } else {
-        FailLocked(s);
-      }
-      durable_cv_.notify_all();
-    };
-    engine_->Submit(std::move(req));
-    return Status::OK();
-  }
 
   const int fd = fd_;
   const std::string path = options_.path;

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/async_io.h"
 #include "storage/wal/wal_format.h"
 
 namespace burtree {
@@ -73,18 +72,6 @@ struct WalManagerOptions {
   /// still leaves the file for recovery.
   bool delete_on_close = false;
 
-  /// Asynchronous append engine: with kSync the group-commit flusher
-  /// blocks in pwrite + fdatasync as before; otherwise the flush
-  /// claimant *submits* an fdatasync-linked append unit and returns,
-  /// and the engine's completion publishes durable_lsn_ and wakes the
-  /// waiters — the committer thread keeps batching the next window
-  /// while the previous one is on the wire.
-  IoEngineKind io_engine = IoEngineKind::kSync;
-
-  /// Engine queue depth. The log has a single writer at a time
-  /// (write_in_progress_), so depth beyond 2 buys nothing; 2 lets a
-  /// submit overlap the previous completion's bookkeeping.
-  size_t io_queue_depth = 2;
 };
 
 struct WalStats {
@@ -298,11 +285,6 @@ class WalManager {
 
   CheckpointHooks hooks_;
   std::function<void(PageId)> free_fn_;
-
-  /// Null with io_engine == kSync. Completions lock mu_, so the engine
-  /// is destroyed (drained) in the destructor after the committer joins
-  /// and before fd_ closes.
-  std::unique_ptr<AsyncIoEngine> engine_;
 
   std::thread committer_;
 };

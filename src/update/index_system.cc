@@ -37,7 +37,6 @@ IndexSystem::IndexSystem(const IndexSystemOptions& options)
     wopts.page_size = options_.tree.page_size;
     wopts.group_commit_us = options_.storage.wal.group_commit_us;
     wopts.checkpoint_log_bytes = options_.storage.wal.checkpoint_log_bytes;
-    wopts.io_engine = options_.storage.io_engine;
     if (!options_.storage.wal.path.empty()) {
       wopts.path = options_.storage.wal.path;
       wopts.delete_on_close = false;  // kept for crash recovery

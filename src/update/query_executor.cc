@@ -114,11 +114,6 @@ StatusOr<size_t> QueryExecutor::Query(const Rect& window,
       if (e.rect.Intersects(window)) leaves.push_back(e.child);
     }
     pg.Release();
-    // On an async-capable store, overlap the leaf misses: one batch
-    // submission fills the engine's queue, and the fetch loop below
-    // then hits (or waits on the in-flight read) instead of paying one
-    // full device round-trip per leaf.
-    pool->PrefetchPages(leaves);
     for (PageId leaf : leaves) {
       PageGuard lg = PageGuard::Fetch(pool, leaf);
       NodeView lv(lg.data(), opts.page_size, opts.parent_pointers);

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
+#include <memory>
+#include <string>
 
 #include "buffer/page_guard.h"
+#include "storage/file_io.h"
+#include "storage/file_page_store.h"
 #include "storage/page_file.h"
 
 namespace burtree {
@@ -208,6 +215,71 @@ TEST_F(BufferPoolTest, GuardDirtyPropagation) {
   uint8_t raw[kPageSize];
   ASSERT_TRUE(file_.Read(id, raw).ok());
   EXPECT_EQ(raw[0], 0x42);
+}
+
+// A failed eviction write-back (ENOSPC on the file backend) must not
+// lose the only copy of a dirty page: the victim is re-adopted resident
+// and dirty, the counters say nothing left the pool, and the write
+// succeeds once the device recovers.
+TEST(BufferWritebackFailureTest, EvictionErrorKeepsTheFrameResidentAndDirty) {
+  FilePageStoreOptions opts;
+  opts.path = ::testing::TempDir() + "/burtree-writeback-fail-" +
+              std::to_string(::getpid()) + ".pages";
+  opts.page_size = kPageSize;
+  opts.unlink_after_open = true;
+  auto store_or = FilePageStore::Open(opts);
+  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+  std::unique_ptr<FilePageStore> store = std::move(store_or).value();
+  BufferPool pool(store.get(), /*capacity=*/1, /*shards=*/1);
+
+  // Page a's first image reaches disk, then a newer one stays dirty.
+  Page* p = pool.NewPage();
+  const PageId a = p->page_id();
+  std::memset(p->data(), 0x11, kPageSize);
+  pool.UnpinPage(a, /*dirty=*/true);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  auto fa = pool.FetchPage(a);
+  ASSERT_TRUE(fa.ok());
+  std::memset(fa.value()->data(), 0x22, kPageSize);
+  pool.UnpinPage(a, /*dirty=*/true);
+  const BufferStats before = pool.stats();
+
+  struct HookGuard {
+    ~HookGuard() { io::ClearFileIoHooksForTest(); }
+  } guard;
+  io::FileIoHooks hooks;
+  hooks.pwrite = [](int, const void*, size_t, off_t) {
+    errno = ENOSPC;
+    return static_cast<ssize_t>(-1);
+  };
+  hooks.pwritev = [](int, const struct iovec*, int, off_t) {
+    errno = ENOSPC;
+    return static_cast<ssize_t>(-1);
+  };
+  io::SetFileIoHooksForTest(std::move(hooks));
+
+  // A second page pushes a out of the one-frame pool; its write fails.
+  Page* q = pool.NewPage();
+  const PageId b = q->page_id();
+  EXPECT_EQ(pool.resident_frames(), 2u);  // a re-adopted: over budget
+  EXPECT_EQ(pool.stats().flushes, before.flushes);
+  EXPECT_EQ(pool.stats().evictions, before.evictions);
+
+  // The pool serves the new bytes, not the stale disk image.
+  auto again = pool.FetchPage(a);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.value()->is_dirty());
+  EXPECT_EQ(again.value()->data()[0], 0x22);
+  EXPECT_EQ(again.value()->data()[kPageSize - 1], 0x22);
+  pool.UnpinPage(a, /*dirty=*/false);
+
+  io::ClearFileIoHooksForTest();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  uint8_t raw[kPageSize];
+  ASSERT_TRUE(store->Read(a, raw).ok());
+  EXPECT_EQ(raw[0], 0x22);
+  EXPECT_EQ(raw[kPageSize - 1], 0x22);
+  pool.UnpinPage(b, /*dirty=*/true);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // FilePageStore tests against a real tmpdir file: PageStore-contract
 // parity with the in-memory PageFile, reopen-and-reread round trips,
 // write-back durability ordering (all pwrites of a batch land before
-// the Sync that follows it returns), and ReadPages partial-failure
+// the Sync that follows it returns), and FlushDirtyBatch partial-failure
 // atomicity.
 #include "storage/file_page_store.h"
 
@@ -211,48 +211,37 @@ TEST(FilePageStoreTest, FlushDirtyBatchIsDurableOrderedAndCounted) {
   std::remove(f->path().c_str());
 }
 
-TEST(FilePageStoreTest, ReadPagesFailsWholeBatchBeforeCopyingAnything) {
-  auto f = MustOpen(BaseOptions("atomic"));
-  const PageId a = f->Allocate();
-  uint8_t seed[kPageSize];
-  std::memset(seed, 0x7C, kPageSize);
-  ASSERT_TRUE(f->Write(a, seed).ok());
-  std::vector<uint8_t> x(kPageSize, 0xFF), y(kPageSize, 0xFF);
-  std::vector<PageReadRequest> reqs{{a, x.data()},
-                                    {static_cast<PageId>(a + 1), y.data()}};
-  const uint64_t reads_before = f->io_stats().reads();
-  EXPECT_FALSE(f->ReadPages(reqs).ok());
-  EXPECT_EQ(f->io_stats().reads(), reads_before);  // nothing counted
-  EXPECT_EQ(x[0], 0xFF);  // nothing copied before the validation pass
-  std::remove(f->path().c_str());
-}
-
 TEST(FilePageStoreTest, BatchedIoHandlesGapsAndDuplicates) {
   auto f = MustOpen(BaseOptions("batched"));
   std::vector<PageId> ids;
-  for (int i = 0; i < 6; ++i) {
-    ids.push_back(f->Allocate());
-    std::vector<uint8_t> img(kPageSize, static_cast<uint8_t>(0x30 + i));
-    ASSERT_TRUE(f->Write(ids.back(), img.data()).ok());
-  }
+  for (int i = 0; i < 6; ++i) ids.push_back(f->Allocate());
   ASSERT_TRUE(f->Free(ids[3]).ok());  // punch a hole in the id range
-  // Out-of-order, non-contiguous, duplicated ids: the preadv grouping
-  // must split runs at the gap and at the duplicate.
-  std::vector<std::vector<uint8_t>> out(5,
-                                        std::vector<uint8_t>(kPageSize, 0));
-  std::vector<PageReadRequest> reqs{{ids[5], out[0].data()},
-                                    {ids[0], out[1].data()},
-                                    {ids[1], out[2].data()},
-                                    {ids[0], out[3].data()},
-                                    {ids[4], out[4].data()}};
-  const uint64_t reads_before = f->io_stats().reads();
-  ASSERT_TRUE(f->ReadPages(reqs).ok());
-  EXPECT_EQ(f->io_stats().reads(), reads_before + 5);
-  EXPECT_EQ(out[0][0], 0x35);
-  EXPECT_EQ(out[1][0], 0x30);
-  EXPECT_EQ(out[2][0], 0x31);
-  EXPECT_EQ(out[3][0], 0x30);
-  EXPECT_EQ(out[4][0], 0x34);
+  // Out-of-order, non-contiguous, duplicated ids: the pwritev grouping
+  // must split runs at the gap and at the duplicate, and the later copy
+  // of a duplicate wins, as in PageFile's sequential application.
+  std::vector<std::vector<uint8_t>> imgs;
+  for (int i = 0; i < 5; ++i) {
+    imgs.emplace_back(kPageSize, static_cast<uint8_t>(0x30 + i));
+  }
+  std::vector<PageWriteRequest> reqs{{ids[5], imgs[0].data()},
+                                     {ids[0], imgs[1].data()},
+                                     {ids[1], imgs[2].data()},
+                                     {ids[0], imgs[3].data()},
+                                     {ids[4], imgs[4].data()}};
+  const uint64_t writes_before = f->io_stats().writes();
+  ASSERT_TRUE(f->FlushDirtyBatch(reqs).ok());
+  EXPECT_EQ(f->io_stats().writes(), writes_before + 5);
+  uint8_t buf[kPageSize];
+  ASSERT_TRUE(f->Read(ids[5], buf).ok());
+  EXPECT_EQ(buf[0], 0x30);
+  ASSERT_TRUE(f->Read(ids[0], buf).ok());
+  EXPECT_EQ(buf[0], 0x33);
+  ASSERT_TRUE(f->Read(ids[1], buf).ok());
+  EXPECT_EQ(buf[0], 0x32);
+  ASSERT_TRUE(f->Read(ids[2], buf).ok());
+  EXPECT_EQ(buf[0], 0x00);  // inside the gap: untouched
+  ASSERT_TRUE(f->Read(ids[4], buf).ok());
+  EXPECT_EQ(buf[kPageSize - 1], 0x34);
   std::remove(f->path().c_str());
 }
 
@@ -305,18 +294,11 @@ TEST(FilePageStoreTest, MatchesMemStoreOnRandomOpScript) {
       ASSERT_TRUE(mem.FlushDirtyBatch(ra).ok());
       ASSERT_TRUE(file->FlushDirtyBatch(rb).ok());
     } else if (r < 0.9) {
-      std::vector<std::vector<uint8_t>> oa(live.size()), ob(live.size());
-      std::vector<PageReadRequest> ra, rb;
-      for (size_t i = 0; i < live.size(); ++i) {
-        oa[i].resize(kPageSize);
-        ob[i].resize(kPageSize);
-        ra.push_back(PageReadRequest{live[i], oa[i].data()});
-        rb.push_back(PageReadRequest{live[i], ob[i].data()});
-      }
-      ASSERT_TRUE(mem.ReadPages(ra).ok());
-      ASSERT_TRUE(file->ReadPages(rb).ok());
-      for (size_t i = 0; i < live.size(); ++i) {
-        ASSERT_EQ(std::memcmp(oa[i].data(), ob[i].data(), kPageSize), 0);
+      for (PageId id : live) {
+        uint8_t ma[kPageSize], mb[kPageSize];
+        ASSERT_TRUE(mem.Read(id, ma).ok());
+        ASSERT_TRUE(file->Read(id, mb).ok());
+        ASSERT_EQ(std::memcmp(ma, mb, kPageSize), 0) << "page " << id;
       }
     } else {
       const size_t k = rng.NextBelow(live.size());

@@ -26,8 +26,6 @@ read_mode: optimistic
 backend: file
 wal: true
 wal_group_commit_us: 150
-io_engine: pool
-io_queue_depth: 8
 objects: 12345
 distribution: gaussian
 max_move: 0.05
@@ -66,8 +64,6 @@ expect_min_tps: 100.5
   EXPECT_EQ(s.base.storage.backend, StorageBackend::kFile);
   EXPECT_TRUE(s.base.storage.wal.enabled);
   EXPECT_EQ(s.base.storage.wal.group_commit_us, 150u);
-  EXPECT_EQ(s.base.storage.io_engine, IoEngineKind::kPool);
-  EXPECT_EQ(s.base.storage.io_queue_depth, 8u);
   EXPECT_EQ(s.base.workload.num_objects, 12345u);
   EXPECT_EQ(s.base.workload.distribution, Distribution::kGaussian);
   EXPECT_DOUBLE_EQ(s.base.workload.max_move_distance, 0.05);
@@ -126,6 +122,8 @@ TEST(ScenarioParseTest, RejectsMalformedSpecs) {
        "line 2"},
       {"expect_zero_escalations: true\n", "unknown key", "line 1"},
       {"backend: file\nfsync: true\n", "unknown key 'fsync'", "line 2"},
+      {"backend: file\nio_engine: pool\n", "unknown key 'io_engine'",
+       "line 2"},
   };
   for (const auto& c : removed) {
     auto spec = ParseScenario(c.text, "x");
@@ -146,8 +144,6 @@ TEST(ScenarioParseTest, RejectsMalformedSpecs) {
   // Zero clients / empty workload.
   EXPECT_FALSE(ParseScenario("threads: 0\n", "x").ok());
   EXPECT_FALSE(ParseScenario("objects: 0\n", "x").ok());
-  // Bad engine name.
-  EXPECT_FALSE(ParseScenario("io_engine: turbo\n", "x").ok());
 }
 
 TEST(ScenarioParseTest, RejectsNonStrictIntegers) {
@@ -157,7 +153,7 @@ TEST(ScenarioParseTest, RejectsNonStrictIntegers) {
   for (const char* line :
        {"threads: -1\n", "objects: +5\n", "seed: 0x2a\n",
         "page_size: 4k\n", "ops_per_thread: 1e3\n",
-        "io_queue_depth: -8\n", "wal_group_commit_us: 150us\n",
+        "knn_k: -8\n", "wal_group_commit_us: 150us\n",
         "flash_interval: 99999999999999999999\n"}) {
     auto spec = ParseScenario(line, "strict");
     ASSERT_FALSE(spec.ok()) << line;

@@ -110,42 +110,6 @@ TEST_P(StorageEquivalenceTest, MemAndFileBackendsProduceTheSameTree) {
   ExpectSameDiskImages(mem.fx.system->file(), file.fx.system->file());
 }
 
-ExperimentConfig EngineConfig(StrategyKind kind, IoEngineKind engine) {
-  ExperimentConfig cfg = SmallConfig(kind, StorageBackend::kFile);
-  cfg.storage.io_engine = engine;
-  cfg.storage.io_queue_depth = 8;
-  return cfg;
-}
-
-// The async engines change only WHEN pages move (overlapped misses,
-// submit-and-reap write-backs, linked WAL appends) — never what lands.
-// The same pipeline run under sync, pool, and uring must leave
-// byte-identical disk images and the same logical tree.
-TEST_P(StorageEquivalenceTest, AsyncEnginesMatchSyncByteForByte) {
-  PipelineOutput sync_run, pool_run, uring_run;
-  ASSERT_NO_FATAL_FAILURE(RunPipeline(
-      EngineConfig(GetParam(), IoEngineKind::kSync), &sync_run));
-  ASSERT_NO_FATAL_FAILURE(RunPipeline(
-      EngineConfig(GetParam(), IoEngineKind::kPool), &pool_run));
-  ASSERT_NO_FATAL_FAILURE(RunPipeline(
-      EngineConfig(GetParam(), IoEngineKind::kUring), &uring_run));
-
-  // Same logical tree. (I/O counts are NOT compared here: the async
-  // engines add advisory prefetch reads the sync path never issues.)
-  EXPECT_EQ(sync_run.contents, pool_run.contents);
-  EXPECT_EQ(sync_run.contents, uring_run.contents);
-  EXPECT_EQ(sync_run.fx.system->tree().height(),
-            pool_run.fx.system->tree().height());
-  EXPECT_EQ(sync_run.fx.system->tree().height(),
-            uring_run.fx.system->tree().height());
-
-  // Byte-identical final disk images, page for page.
-  ExpectSameDiskImages(sync_run.fx.system->file(),
-                       pool_run.fx.system->file());
-  ExpectSameDiskImages(sync_run.fx.system->file(),
-                       uring_run.fx.system->file());
-}
-
 INSTANTIATE_TEST_SUITE_P(AllStrategies, StorageEquivalenceTest,
                          ::testing::Values(
                              StrategyKind::kTopDown,

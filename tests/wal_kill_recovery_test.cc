@@ -78,8 +78,7 @@ Layout MakeLayout(int seed) {
   return l;
 }
 
-ExperimentConfig ChildConfig(const Layout& l, int seed,
-                             IoEngineKind io_engine) {
+ExperimentConfig ChildConfig(const Layout& l, int seed) {
   ExperimentConfig cfg;
   cfg.strategy = StrategyKind::kGeneralizedBottomUp;
   cfg.workload.num_objects = kInitialObjects;
@@ -98,11 +97,6 @@ ExperimentConfig ChildConfig(const Layout& l, int seed,
   // Tiny checkpoint threshold: several auto-checkpoints per second of
   // traffic, so kills land mid-checkpoint too.
   cfg.storage.wal.checkpoint_log_bytes = 256u << 10;
-  // kSync is the classic blocking path; kPool routes buffer write-backs
-  // and WAL appends (fdatasync-linked units) through the async engine,
-  // so kills land between a submitted append and its completion.
-  cfg.storage.io_engine = io_engine;
-  cfg.storage.io_queue_depth = 4;
   return cfg;
 }
 
@@ -116,9 +110,8 @@ ExperimentConfig ChildConfig(const Layout& l, int seed,
 /// completes only after its batch's WAL scope committed the record, so
 /// an acknowledged insert is appended before the next WaitDurable.
 [[noreturn]] void ChildMain(const Layout& l, int seed,
-                            uint32_t ingest_workers,
-                            IoEngineKind io_engine) {
-  const ExperimentConfig cfg = ChildConfig(l, seed, io_engine);
+                            uint32_t ingest_workers) {
+  const ExperimentConfig cfg = ChildConfig(l, seed);
   WorkloadGenerator workload(cfg.workload);
   StrategyFixture fx = MakeFixture(cfg);
   if (!BuildIndex(cfg, workload, &fx).ok()) ::_exit(3);
@@ -212,14 +205,13 @@ ExperimentConfig ChildConfig(const Layout& l, int seed,
 
 /// Whole kill-recover-audit cycle, shared by the per-op and batched-
 /// ingestion suites (they differ only in the child's write path).
-void RunKillRecoveryCase(int seed, uint32_t ingest_workers,
-                         IoEngineKind io_engine = IoEngineKind::kSync) {
+void RunKillRecoveryCase(int seed, uint32_t ingest_workers) {
   const Layout l = MakeLayout(seed);
 
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0) << "fork failed: " << std::strerror(errno);
   if (pid == 0) {
-    ChildMain(l, seed, ingest_workers, io_engine);  // never returns
+    ChildMain(l, seed, ingest_workers);  // never returns
   }
 
   // Wait for the first durable watermark, then kill at a seed-spread
@@ -355,24 +347,6 @@ TEST_P(WalKillIngestRecoveryTest, RecoversAfterSigkillDuringIngest) {
 }
 
 INSTANTIATE_TEST_SUITE_P(CrashPoints, WalKillIngestRecoveryTest,
-                         ::testing::Range(0, 8));
-
-// Async-engine variant: the child runs with --io-engine pool, so buffer
-// write-backs are submit-and-reap and WAL appends are engine units with
-// a linked fdatasync. The SIGKILL can now land with appends submitted
-// but not yet durable; recovery must still honor every watermarked
-// acknowledgment (a handle completes only after WaitDurable returned,
-// which the async committer gates on the completion's durable_lsn
-// publication). The recovery side itself stays sync — replay is the one
-// path that must not depend on the engine.
-class WalKillAsyncIoRecoveryTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(WalKillAsyncIoRecoveryTest, RecoversAfterSigkillWithAsyncAppends) {
-  RunKillRecoveryCase(200 + GetParam(), /*ingest_workers=*/0,
-                      IoEngineKind::kPool);
-}
-
-INSTANTIATE_TEST_SUITE_P(CrashPoints, WalKillAsyncIoRecoveryTest,
                          ::testing::Range(0, 8));
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "storage/file_io.h"
 #include "storage/page_store.h"
 
 namespace burtree {
@@ -121,6 +122,58 @@ TEST(WalManagerTest, AppendsAreDecodableThroughIndependentFdAfterWaitDurable) {
   }
   EXPECT_EQ(expect_root, 6u);
   EXPECT_EQ(off - kWalFileHeaderSize, end);
+}
+
+// Log writes go through the shared resume loops (io::PwriteFully), so
+// the one fault shim covers the log too: bounded short writes and EINTR
+// must be invisible in the records that land.
+TEST(WalManagerTest, LogWritesResumeThroughFileIoHooks) {
+  struct HookGuard {
+    ~HookGuard() { io::ClearFileIoHooksForTest(); }
+  } guard;
+  std::atomic<uint64_t> calls{0};
+  io::FileIoHooks hooks;
+  hooks.pwrite = [&](int fd, const void* buf, size_t len, off_t off) {
+    if (calls.fetch_add(1) % 3 == 2) {
+      errno = EINTR;
+      return static_cast<ssize_t>(-1);
+    }
+    return ::pwrite(fd, buf, std::min<size_t>(len, 7), off);
+  };
+  io::SetFileIoHooksForTest(std::move(hooks));
+
+  WalManagerOptions o = BareOptions("hooks");
+  o.delete_on_close = false;  // read the log back after close
+  constexpr PageId kRecords = 20;
+  {
+    auto wal = WalManager::MustOpen(o);
+    for (PageId r = 1; r <= kRecords; ++r) wal->NoteRootChange(r, 1);
+    ASSERT_TRUE(wal->WaitDurable(wal->appended_lsn()).ok());
+  }
+  io::ClearFileIoHooksForTest();
+
+  const std::vector<uint8_t> bytes = ReadLogIndependently(o.path);
+  ::unlink(o.path.c_str());
+  size_t page_size = 0;
+  uint64_t base_lsn = 0;
+  ASSERT_TRUE(DecodeWalFileHeader(bytes.data(), bytes.size(), &page_size,
+                                  &base_lsn)
+                  .ok());
+  size_t off = kWalFileHeaderSize;
+  PageId expect_root = 1;
+  while (off < bytes.size()) {
+    WalRecord rec;
+    size_t consumed = 0;
+    ASSERT_EQ(DecodeWalRecord(bytes.data() + off, bytes.size() - off,
+                              kPageSize, base_lsn + off - kWalFileHeaderSize,
+                              &rec, &consumed),
+              WalDecodeResult::kOk);
+    ASSERT_TRUE(rec.has_root);
+    EXPECT_EQ(rec.root, expect_root++);
+    off += consumed;
+  }
+  EXPECT_EQ(expect_root, kRecords + 1);
+  EXPECT_GT(calls.load(), static_cast<uint64_t>(kRecords));
 }
 
 TEST(WalManagerTest, GroupCommitBatchesFsyncs) {
