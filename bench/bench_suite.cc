@@ -4,7 +4,7 @@
 // RunScenario, prints one table row per cell, and — with --json — emits
 // the canonical BENCH_suite.json that scripts/bench_compare.py gates CI
 // against (see bench/suite/baselines/). bench/grids/ holds the sweeps:
-// Figure 8, the latch/read/shard sweeps, batched ingestion and the
+// Figure 8, the latch/shard sweeps, batched ingestion and the
 // recorded trajectory.
 //
 // Modes:

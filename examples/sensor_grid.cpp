@@ -111,10 +111,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(dashboards.load()),
       static_cast<unsigned long long>(alerts.load()), tps);
   const LockStats ls = index.lock_manager().stats();
-  std::printf("DGL: %llu lock acquisitions, %llu waits, %llu timeouts\n",
+  std::printf("DGL: %llu lock acquisitions, %llu waits, %llu aborts\n",
               static_cast<unsigned long long>(ls.acquisitions),
               static_cast<unsigned long long>(ls.waits),
-              static_cast<unsigned long long>(ls.timeouts));
+              static_cast<unsigned long long>(ls.aborts));
   if (!fx.system->tree().Validate().ok()) {
     std::fprintf(stderr, "tree validation FAILED\n");
     return 1;

@@ -26,63 +26,8 @@ class WriterScope final : public UpdateLatchScope {
   PageLatchSet* set_;
 };
 
-/// TraversalLatchHooks over a PageLatchSet (reader mode).
-class ReaderHooks final : public TraversalLatchHooks {
- public:
-  explicit ReaderHooks(PageLatchSet* set) : set_(set) {}
-  void AcquireShared(PageId page) override { set_->AcquireShared(page); }
-  bool TryAcquireShared(PageId page) override {
-    return set_->TryAcquireShared(page);
-  }
-  void ReleaseShared(PageId page) override { set_->ReleaseShared(page); }
-
- private:
-  PageLatchSet* set_;
-};
-
-/// ExclusiveLatchHooks over a PageLatchSet for the coupled insert
-/// descent; remembers the page whose stripe last collided so the retry
-/// loop can wait for exactly that stripe (holding nothing) and restart.
-class CoupledWriterHooks final : public ExclusiveLatchHooks {
- public:
-  explicit CoupledWriterHooks(PageLatchSet* set) : set_(set) {}
-  void AcquireExclusive(PageId page) override {
-    set_->AcquireExclusive(page);
-  }
-  bool TryAcquireExclusive(PageId page) override {
-    if (set_->TryExtendExclusive(page)) return true;
-    last_contended_ = page;
-    return false;
-  }
-  void ReleaseExclusive(PageId page) override {
-    set_->ReleaseExclusive(page);
-  }
-  PageId last_contended() const { return last_contended_; }
-
- private:
-  PageLatchSet* set_;
-  PageId last_contended_ = kInvalidPageId;
-};
-
-/// VersionLatchHooks over the LatchTable's per-stripe version stamps
-/// (optimistic read mode).
-class OptimisticReaderHooks final : public VersionLatchHooks {
- public:
-  explicit OptimisticReaderHooks(LatchTable* table) : table_(table) {}
-  bool TryBeginSnapshot(PageId page, uint64_t* version) override {
-    return table_->TryBeginSnapshot(page, version);
-  }
-  void EndSnapshot(PageId page) override { table_->EndSnapshot(page); }
-  bool Validate(PageId page, uint64_t version) override {
-    return table_->ValidateVersion(page, version);
-  }
-
- private:
-  LatchTable* table_;
-};
-
 /// DGL acquisition with release-and-retry backoff, shared by
-/// Update/Insert/Query: wait-die aborts and timeouts release everything
+/// Update/Insert/Query: lock-wait timeouts (aborts) release everything
 /// and retry with jittered exponential backoff (see JitteredBackoff for
 /// why the jitter is load-bearing) up to a fixed budget, after which
 /// the residual Abort escapes to the caller. Seeded from the op
@@ -117,26 +62,6 @@ bool ParseLatchMode(const std::string& s, LatchMode* out) {
   }
   if (s == "coupled") {
     *out = LatchMode::kCoupled;
-    return true;
-  }
-  return false;
-}
-
-const char* ReadModeName(ReadMode mode) {
-  switch (mode) {
-    case ReadMode::kLatched: return "latched";
-    case ReadMode::kOptimistic: return "optimistic";
-  }
-  return "?";
-}
-
-bool ParseReadMode(const std::string& s, ReadMode* out) {
-  if (s == "latched") {
-    *out = ReadMode::kLatched;
-    return true;
-  }
-  if (s == "optimistic") {
-    *out = ReadMode::kOptimistic;
     return true;
   }
   return false;
@@ -621,15 +546,13 @@ StatusOr<size_t> ConcurrentIndex::QueryGlobal(const Rect& window,
 StatusOr<size_t> ConcurrentIndex::QueryCoupled(const Rect& window,
                                                uint64_t* ios) {
   PageStore::ResetThreadIo();
-  const bool optimistic = options_.read_mode == ReadMode::kOptimistic;
-  // Attempt ladder: each 32-attempt segment prefers the summary-pruned,
-  // epoch-validated plan for its first 24 attempts, then the unpruned
-  // root descent (the plan may keep going stale under a split storm).
-  // In optimistic read mode the first segment runs the version-validated
-  // snapshot descent and the second falls back to S-latch coupling; in
-  // latched mode both segments are S-coupled.
+  // Attempt ladder: the version-validated snapshot descent first — its
+  // first 24 attempts on the summary-pruned, epoch-validated plan, then
+  // unpruned (the plan may keep going stale under a split storm) — and,
+  // once those starve, the root-anchored S-coupled descent, which reads
+  // every link under its parent's latch.
   constexpr int kAttempts = 64;
-  constexpr int kSegment = 32;
+  constexpr int kOptimisticAttempts = 32;
   constexpr int kPrunedAttempts = 24;
   {
     std::shared_lock<DrainGate> gate(smo_gate_);
@@ -655,21 +578,24 @@ StatusOr<size_t> ConcurrentIndex::QueryCoupled(const Rect& window,
         gate.lock();
         continue;
       }
-      const bool use_optimistic = optimistic && attempt < kSegment;
-      if (optimistic && !use_optimistic && !fell_back) {
+      const bool optimistic = attempt < kOptimisticAttempts;
+      if (!optimistic && !fell_back) {
         fell_back = true;
         optimistic_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       }
-      const bool pruned = (attempt % kSegment) < kPrunedAttempts;
+      const bool pruned = attempt < kPrunedAttempts;
       StatusOr<size_t> result = [&]() -> StatusOr<size_t> {
-        if (use_optimistic) {
+        if (optimistic) {
           OptimisticReaderHooks hooks(&latch_table_);
           return executor_->QueryOptimistic(window, &hooks, nullptr,
                                             pruned);
         }
         PageLatchSet latches(&latch_table_);
         ReaderHooks hooks(&latches);
-        return executor_->QueryCoupled(window, &hooks, nullptr, pruned);
+        size_t matches = 0;
+        BURTREE_RETURN_IF_ERROR(system_->tree().QueryCoupled(
+            window, [&](ObjectId, const Rect&) { ++matches; }, &hooks));
+        return matches;
       }();
       if (result.status().code() == StatusCode::kLatchContention) {
         continue;
@@ -682,10 +608,8 @@ StatusOr<size_t> ConcurrentIndex::QueryCoupled(const Rect& window,
         continue;
       }
       coupled_queries_.fetch_add(1, std::memory_order_relaxed);
-      if (result.ok()) {
-        if (use_optimistic) {
-          optimistic_queries_.fetch_add(1, std::memory_order_relaxed);
-        }
+      if (result.ok() && optimistic) {
+        optimistic_queries_.fetch_add(1, std::memory_order_relaxed);
         if (pruned && executor_->use_summary() &&
             system_->tree().root_level() >= 1) {
           pruned_queries_.fetch_add(1, std::memory_order_relaxed);

@@ -3,7 +3,7 @@
 //
 // Pipeline per operation:
 //   1. acquire the DGL lock set (sorted granules => deadlock-free; the
-//      lock manager's wait-die/timeout is a backstop),
+//      lock manager's wait timeout is a backstop),
 //   2. run the logical operation under tree latching — RAM-speed
 //      critical sections — in one of two latch modes:
 //        * kGlobal: one tree-wide latch (updates exclusive, queries
@@ -16,7 +16,8 @@
 //          inserts) decompose into a latched bottom-up removal plus
 //          RTree::InsertCoupled — a top-down X-latch-coupled descent
 //          that releases ancestors as soon as the child is split-safe;
-//          queries couple shared latches over every level. The only
+//          queries read version-validated node snapshots, falling back
+//          to shared latches coupled over every level. The only
 //          serialization left is the compound-SMO drain gate (a
 //          writer-priority DrainGate all coupled operations hold
 //          shared), taken exclusively for the rare operations whose
@@ -74,18 +75,12 @@ const char* LatchModeName(LatchMode mode);
 /// leaves `out` untouched on anything else.
 bool ParseLatchMode(const std::string& s, LatchMode* out);
 
-/// How coupled-mode window queries read tree pages.
-enum class ReadMode {
-  kLatched,     ///< S-latch-couple every level (original coupled behavior)
-  kOptimistic,  ///< version-validated snapshot descent, latch-free between
-                ///< levels; falls back to kLatched when restarts starve
-};
-
-const char* ReadModeName(ReadMode mode);
-
-/// Parses "latched" / "optimistic" (case-sensitive); returns false and
-/// leaves `out` untouched on anything else.
-bool ParseReadMode(const std::string& s, ReadMode* out);
+/// Coupled-mode window queries have one read path: the version-validated
+/// snapshot descent, falling back to the root-anchored S-coupled descent
+/// when its restarts starve. The enum and the `read_mode` fields below
+/// and in ExperimentConfig are read by nothing; they remain only because
+/// the repo benchmark (perfbench/) still assigns them.
+enum class ReadMode { kOptimistic };
 
 struct ConcurrencyOptions {
   uint32_t grid_bits = 6;         ///< 64x64 spatial granules
@@ -97,9 +92,7 @@ struct ConcurrencyOptions {
   /// page latching overlaps I/O stalls that the global latch serializes.
   bool io_latency_in_op = false;
   LatchMode latch_mode = LatchMode::kGlobal;
-  /// Coupled-mode query read path (ignored by global mode, whose
-  /// queries run under the tree-wide latch).
-  ReadMode read_mode = ReadMode::kLatched;
+  ReadMode read_mode = ReadMode::kOptimistic;  ///< unused; see ReadMode
   /// Stripes in the page-latch table (rounded up to a power of two).
   size_t latch_stripes = LatchTable::kDefaultStripes;
   LockManagerOptions lock;
@@ -126,11 +119,11 @@ struct LatchModeStats {
   /// Latch-coupled descent attempts that hit a try-latch collision and
   /// restarted (updates, inserts, and queries combined).
   uint64_t descent_restarts = 0;
-  /// Coupled mode, optimistic read mode: queries completed through the
-  /// version-validated snapshot descent.
+  /// Coupled mode: queries completed through the version-validated
+  /// snapshot descent.
   uint64_t optimistic_queries = 0;
-  /// Optimistic queries whose restart budget starved and that fell back
-  /// to the S-coupled read path.
+  /// Coupled queries whose optimistic attempts starved and that fell
+  /// back to the root-anchored S-coupled descent.
   uint64_t optimistic_fallbacks = 0;
   /// Coupled-mode queries that completed through a summary-pruned,
   /// epoch-validated plan instead of a full root descent.
@@ -160,7 +153,7 @@ struct LatchModeStats {
 
 /// One update in a batch handed to ConcurrentIndex::UpdateBatch. The
 /// per-op outcome lands in `status`; a batch-wide DGL failure (residual
-/// wait-die abort past the retry budget) is written into every op, so
+/// lock-wait timeout past the retry budget) is written into every op, so
 /// the caller can retry the whole batch — nothing was mutated.
 struct BatchUpdateOp {
   ObjectId oid = 0;

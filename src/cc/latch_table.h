@@ -43,6 +43,7 @@
 
 #include "common/drain_gate.h"
 #include "common/types.h"
+#include "rtree/rtree.h"
 
 namespace burtree {
 
@@ -222,6 +223,66 @@ class PageLatchSet {
 
   LatchTable* table_;
   std::vector<Held> held_;  // small: a handful of stripes per operation
+};
+
+// -- RTree latch hooks over a LatchTable ------------------------------------
+// The adapters ConcurrentIndex runs its coupled descents through.
+
+/// TraversalLatchHooks over a reader PageLatchSet (the S-coupled query
+/// descent, RTree::QueryCoupled).
+class ReaderHooks final : public TraversalLatchHooks {
+ public:
+  explicit ReaderHooks(PageLatchSet* set) : set_(set) {}
+  void AcquireShared(PageId page) override { set_->AcquireShared(page); }
+  bool TryAcquireShared(PageId page) override {
+    return set_->TryAcquireShared(page);
+  }
+  void ReleaseShared(PageId page) override { set_->ReleaseShared(page); }
+
+ private:
+  PageLatchSet* set_;
+};
+
+/// ExclusiveLatchHooks over a writer PageLatchSet for the coupled insert
+/// descent (RTree::InsertCoupled); remembers the page whose stripe last
+/// collided so a retry loop can wait for exactly that stripe (holding
+/// nothing) and restart.
+class CoupledWriterHooks final : public ExclusiveLatchHooks {
+ public:
+  explicit CoupledWriterHooks(PageLatchSet* set) : set_(set) {}
+  void AcquireExclusive(PageId page) override {
+    set_->AcquireExclusive(page);
+  }
+  bool TryAcquireExclusive(PageId page) override {
+    if (set_->TryExtendExclusive(page)) return true;
+    last_contended_ = page;
+    return false;
+  }
+  void ReleaseExclusive(PageId page) override {
+    set_->ReleaseExclusive(page);
+  }
+  PageId last_contended() const { return last_contended_; }
+
+ private:
+  PageLatchSet* set_;
+  PageId last_contended_ = kInvalidPageId;
+};
+
+/// VersionLatchHooks over the table's per-stripe version stamps (the
+/// optimistic snapshot descent, RTree::QueryOptimistic).
+class OptimisticReaderHooks final : public VersionLatchHooks {
+ public:
+  explicit OptimisticReaderHooks(LatchTable* table) : table_(table) {}
+  bool TryBeginSnapshot(PageId page, uint64_t* version) override {
+    return table_->TryBeginSnapshot(page, version);
+  }
+  void EndSnapshot(PageId page) override { table_->EndSnapshot(page); }
+  bool Validate(PageId page, uint64_t version) override {
+    return table_->ValidateVersion(page, version);
+  }
+
+ private:
+  LatchTable* table_;
 };
 
 }  // namespace burtree

@@ -70,15 +70,6 @@ bool LockManager::CanGrantLocked(const Granule& g, uint64_t txn,
   return true;
 }
 
-bool LockManager::ConflictsWithOlderLocked(const Granule& g, uint64_t txn,
-                                           LockMode mode) const {
-  for (const Holder& h : g.holders) {
-    if (h.txn == txn) continue;
-    if (!LockCompatible(h.mode, mode) && h.txn < txn) return true;
-  }
-  return false;
-}
-
 Status LockManager::Acquire(uint64_t txn, uint64_t granule, LockMode mode) {
   Bucket& b = *buckets_[BucketOf(granule)];
   bool granted = false;
@@ -115,13 +106,9 @@ Status LockManager::Acquire(uint64_t txn, uint64_t granule, LockMode mode) {
         break;
       }
 
-      if (options_.wait_die && ConflictsWithOlderLocked(g, txn, mode)) {
-        ++b.stats.aborts;
-        return Status::Aborted("wait-die: younger transaction dies");
-      }
       waited = true;
       if (b.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-        ++b.stats.timeouts;
+        ++b.stats.aborts;
         return Status::Aborted("lock wait timeout");
       }
     }
@@ -189,7 +176,6 @@ LockStats LockManager::stats() const {
     total.acquisitions += b->stats.acquisitions;
     total.waits += b->stats.waits;
     total.aborts += b->stats.aborts;
-    total.timeouts += b->stats.timeouts;
   }
   return total;
 }

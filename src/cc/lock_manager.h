@@ -1,9 +1,9 @@
 // Multi-granularity lock manager in the style of Dynamic Granular Locking
 // for R-trees (Chakrabarti & Mehrotra [2], paper §3.2.2): S/X data locks
 // plus IS/IX intention locks on enclosing granules, a standard
-// compatibility matrix, FIFO-fair grants, and optional wait-die deadlock
-// avoidance (callers that acquire granules in sorted order are already
-// deadlock-free; wait-die is the backstop for arbitrary orders).
+// compatibility matrix, FIFO-fair grants, and a wait timeout that aborts
+// the request (callers acquire granules in sorted order, so they are
+// deadlock-free; the timeout is the lost-lock safety net).
 //
 // Internally the manager is *striped*: granules hash onto a power-of-two
 // array of buckets, each with its own mutex, condition variable, granule
@@ -39,9 +39,6 @@ bool LockCompatible(LockMode held, LockMode requested);
 const char* LockModeName(LockMode m);
 
 struct LockManagerOptions {
-  /// Abort younger requesters that conflict with older holders instead of
-  /// waiting (wait-die). Off: block until granted or timeout.
-  bool wait_die = false;
   /// Wait timeout; exceeding it returns kAborted (lost-lock safety net).
   uint64_t timeout_ms = 5000;
   /// Lock-table buckets (rounded up to a power of two). Each bucket has
@@ -52,18 +49,18 @@ struct LockManagerOptions {
 struct LockStats {
   uint64_t acquisitions = 0;
   uint64_t waits = 0;
-  uint64_t aborts = 0;
-  uint64_t timeouts = 0;
+  uint64_t aborts = 0;  ///< requests that timed out waiting (kAborted)
 };
 
 class LockManager {
  public:
   explicit LockManager(const LockManagerOptions& options = {});
 
-  /// Acquires `mode` on `granule` for transaction `txn` (its timestamp /
-  /// priority under wait-die: smaller = older). Re-acquiring a mode the
-  /// txn already holds on the granule is a no-op; holding a stronger mode
-  /// satisfies a weaker request.
+  /// Acquires `mode` on `granule` for transaction `txn` (the operation's
+  /// timestamp), blocking until granted or until the wait times out
+  /// (kAborted). Re-acquiring a mode the txn already holds on the
+  /// granule is a no-op; holding a stronger mode satisfies a weaker
+  /// request.
   Status Acquire(uint64_t txn, uint64_t granule, LockMode mode);
 
   /// Releases one lock. Unknown (txn, granule) pairs are ignored.
@@ -107,8 +104,6 @@ class LockManager {
   static bool ModeCovers(LockMode held, LockMode requested);
 
   bool CanGrantLocked(const Granule& g, uint64_t txn, LockMode mode) const;
-  bool ConflictsWithOlderLocked(const Granule& g, uint64_t txn,
-                                LockMode mode) const;
   TxnShard& ShardOf(uint64_t txn) const;
   /// Removes txn's holds on `granule` inside its bucket and wakes
   /// waiters; does not touch the txn table.

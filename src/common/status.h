@@ -17,7 +17,7 @@ enum class StatusCode {
   kInvalidArgument, ///< Caller passed something out of contract.
   kCorruption,      ///< On-page structure failed validation.
   kResourceExhausted, ///< Buffer pool full of pinned pages, etc.
-  kAborted,         ///< Operation gave up (e.g., lock wait-die abort).
+  kAborted,         ///< Operation gave up (e.g., lock wait timeout).
   kUnsupported,     ///< Feature disabled by options.
   kLatchContention, ///< Page-latched path must escalate / retry (cc layer).
   kIoError,         ///< Operating-system I/O failure (file backend).

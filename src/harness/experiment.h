@@ -51,11 +51,7 @@ struct ExperimentConfig {
   /// RunScenario copies it into the ConcurrencyOptions it builds the
   /// ConcurrentIndex with.
   LatchMode latch_mode = LatchMode::kGlobal;
-  /// Coupled-mode query read path (`read_mode: latched|optimistic` in a
-  /// scenario spec): kOptimistic replaces the S-coupled query descent
-  /// with version-validated snapshot reads. Ignored outside kCoupled;
-  /// RunScenario copies it into ConcurrencyOptions like latch_mode.
-  ReadMode read_mode = ReadMode::kLatched;
+  ReadMode read_mode = ReadMode::kOptimistic;  ///< unused; see ReadMode
   /// Batched ingestion front-end (`ingest: workers=N,batch=K` in a
   /// scenario spec): workers > 0 makes RunScenario route client updates
   /// and inserts through an IngestPool over per-shard MPSC queues —

@@ -142,10 +142,6 @@ StatusOr<ScenarioSpec> ParseScenario(const std::string& text,
       if (!ParseLatchMode(value, &spec.base.latch_mode)) {
         return err("unknown latch_mode '" + value + "' (want global|coupled)");
       }
-    } else if (key == "read_mode") {
-      if (!ParseReadMode(value, &spec.base.read_mode)) {
-        return err("unknown read_mode '" + value + "'");
-      }
     } else if (key == "backend") {
       if (!ParseStorageBackend(value, &spec.base.storage)) {
         return err("unknown backend '" + value + "' (want mem|file[:dir])");
@@ -377,7 +373,6 @@ StatusOr<ScenarioResult> RunScenario(const ScenarioSpec& spec) {
 
   ConcurrencyOptions copts;
   copts.latch_mode = base.latch_mode;
-  copts.read_mode = base.read_mode;
   copts.io_latency_us = spec.io_latency_us;
   copts.io_latency_in_op = spec.io_latency_in_op;
   ConcurrentIndex index(fx.system.get(), fx.strategy.get(),
@@ -448,9 +443,10 @@ StatusOr<ScenarioResult> RunScenario(const ScenarioSpec& spec) {
                           0.0, 1.0);
         return to;
       };
-      // A residual wait-die Abort can escape the DGL retry budget under a
-      // hot granule. It fires before any tree mutation (in ingest mode
-      // the pool's workers retry whole batches), so the op is re-run.
+      // A residual lock-wait-timeout Abort can escape the DGL retry
+      // budget under a hot granule. It fires before any tree mutation
+      // (in ingest mode the pool's workers retry whole batches), so the
+      // op is re-run.
       // The backoff is seeded per client and op, never from `rng`, so op
       // counts stay a pure function of the seed.
       auto retry_aborted = [&](uint64_t op_index, auto&& op) {

@@ -1,7 +1,7 @@
 // Declarative scenario suite (ROADMAP "full paper scale + a declarative
 // scenario matrix with a recorded perf trajectory"): one spec file per
 // scenario under bench/suite/ declares the whole deployment — workload,
-// scale, strategy, latch mode, read mode, backend, WAL, ingest config,
+// scale, strategy, latch mode, backend, WAL, ingest config,
 // client threads, op mix (update/insert/delete/query/kNN with optional
 // hotspot or flash-crowd skew), run bound (op count or wall-clock
 // duration), and the invariant checks the run must pass. bench_suite
@@ -19,7 +19,6 @@
 //   name: hotspot_gbu_coupled
 //   strategy: GBU
 //   latch_mode: coupled
-//   read_mode: optimistic
 //   backend: mem
 //   objects: 50000
 //   threads: 8
@@ -50,7 +49,7 @@ namespace burtree {
 struct ScenarioSpec {
   std::string name;
 
-  /// Deployment: strategy/latch/read/backend/ingest/etc., plus the
+  /// Deployment: strategy/latch/backend/ingest/etc., plus the
   /// GSTD workload knobs (objects, distribution, max_move, seed).
   ExperimentConfig base;
 

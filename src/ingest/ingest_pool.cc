@@ -153,7 +153,7 @@ void IngestPool::WorkerLoop(size_t worker) {
     if (!inserts.empty()) {
       batches_.fetch_add(1, std::memory_order_relaxed);
       batched_ops_.fetch_add(inserts.size(), std::memory_order_relaxed);
-      // A residual wait-die Abort past the DGL retry budget aborts the
+      // A residual lock-wait timeout past the DGL retry budget aborts the
       // whole batch before anything mutates; re-run it, like the
       // per-op harness retries aborted ops. Jittered backoff, not a
       // bare yield: N workers re-colliding on one hot granule would

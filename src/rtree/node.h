@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstring>
+#include <limits>
 
 #include "common/geometry.h"
 #include "common/logging.h"
@@ -178,6 +179,28 @@ class NodeView {
       if (leaf_entry(i).oid == oid) return static_cast<int>(i);
     }
     return -1;
+  }
+
+  /// Guttman's ChooseLeaf step over an internal node: the entry needing
+  /// the least enlargement to include `rect`, ties broken by smaller
+  /// area (the first such entry wins a full tie). The node must not be
+  /// empty.
+  uint32_t ChooseSubtree(const Rect& rect) const {
+    BURTREE_CHECK(count() > 0);
+    uint32_t best = 0;
+    double best_enl = std::numeric_limits<double>::infinity();
+    double best_area = std::numeric_limits<double>::infinity();
+    for (uint32_t i = 0; i < count(); ++i) {
+      const Rect r = entry_rect(i);
+      const double enl = r.Enlargement(rect);
+      const double area = r.Area();
+      if (enl < best_enl || (enl == best_enl && area < best_area)) {
+        best_enl = enl;
+        best_area = area;
+        best = i;
+      }
+    }
+    return best;
   }
 
   /// Union of all entry rects (the tight MBR).

@@ -1,7 +1,6 @@
 #include "rtree/rtree.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <queue>
@@ -108,22 +107,7 @@ Status RTree::DescendChooseSubtree(std::vector<PageId>* path,
     if (v.level() < target_level) {
       return Status::InvalidArgument("descent below target level");
     }
-    BURTREE_CHECK(v.count() > 0);  // internal nodes are never empty
-    // Guttman ChooseLeaf: least enlargement, ties by smallest area.
-    uint32_t best = 0;
-    double best_enl = std::numeric_limits<double>::infinity();
-    double best_area = std::numeric_limits<double>::infinity();
-    for (uint32_t i = 0; i < v.count(); ++i) {
-      const Rect r = v.entry_rect(i);
-      const double enl = r.Enlargement(rect);
-      const double area = r.Area();
-      if (enl < best_enl || (enl == best_enl && area < best_area)) {
-        best_enl = enl;
-        best_area = area;
-        best = i;
-      }
-    }
-    path->push_back(v.internal_entry(best).child);
+    path->push_back(v.internal_entry(v.ChooseSubtree(rect)).child);
   }
 }
 
@@ -832,60 +816,6 @@ Status RTree::Query(const Rect& window, const QueryCallback& cb) {
   return Status::OK();
 }
 
-Status RTree::QuerySubtreeCoupled(PageId page, const Rect& window,
-                                  TraversalLatchHooks* hooks,
-                                  std::vector<LeafEntry>* out) {
-  // Leaf-local updaters hold their latches only across RAM-speed critical
-  // sections (I/O latency is charged at the page layer or afterwards), so
-  // a generous retry budget makes contention failures vanishingly rare —
-  // but the budget keeps the no-deadlock / no-livelock argument total.
-  constexpr int kAttempts = 256;
-  for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(1u << std::min(attempt, 7)));
-    }
-    std::vector<LeafEntry> matches;
-    bool contended = false;
-    hooks->AcquireShared(page);
-    {
-      PageGuard g = PageGuard::Fetch(pool_, page);
-      NodeView v = View(g);
-      if (v.is_leaf()) {
-        for (uint32_t i = 0; i < v.count(); ++i) {
-          const LeafEntry e = v.leaf_entry(i);
-          if (e.rect.Intersects(window)) matches.push_back(e);
-        }
-      } else {
-        for (uint32_t i = 0; i < v.count(); ++i) {
-          const InternalEntry e = v.internal_entry(i);
-          if (!e.rect.Intersects(window)) continue;
-          const PageId child = e.child;
-          if (!hooks->TryAcquireShared(child)) {
-            contended = true;
-            break;
-          }
-          {
-            PageGuard lg = PageGuard::Fetch(pool_, child);
-            NodeView lv = View(lg);
-            for (uint32_t k = 0; k < lv.count(); ++k) {
-              const LeafEntry le = lv.leaf_entry(k);
-              if (le.rect.Intersects(window)) matches.push_back(le);
-            }
-          }
-          hooks->ReleaseShared(child);
-        }
-      }
-    }
-    hooks->ReleaseShared(page);
-    if (!contended) {
-      out->insert(out->end(), matches.begin(), matches.end());
-      return Status::OK();
-    }
-  }
-  return Status::LatchContention("query subtree starved");
-}
-
 // ---------------------------------------------------------------------------
 // Coupled latch mode (no tree-wide latch at all)
 // ---------------------------------------------------------------------------
@@ -924,22 +854,7 @@ Status RTree::InsertCoupled(ObjectId oid, const Rect& rect,
     while (true) {
       retained.push_back(Retained{cur, v.full(), v.is_leaf()});
       if (v.is_leaf()) break;
-      BURTREE_CHECK(v.count() > 0);  // internal nodes are never empty
-      // Guttman ChooseLeaf: least enlargement, ties by smaller area.
-      uint32_t best = 0;
-      double best_enl = std::numeric_limits<double>::infinity();
-      double best_area = std::numeric_limits<double>::infinity();
-      for (uint32_t i = 0; i < v.count(); ++i) {
-        const Rect er = v.entry_rect(i);
-        const double enl = er.Enlargement(rect);
-        const double area = er.Area();
-        if (enl < best_enl || (enl == best_enl && area < best_area)) {
-          best_enl = enl;
-          best_area = area;
-          best = i;
-        }
-      }
-      const InternalEntry chosen = v.internal_entry(best);
+      const InternalEntry chosen = v.internal_entry(v.ChooseSubtree(rect));
       g.Release();
       if (!hooks->TryAcquireExclusive(chosen.child)) {
         return Status::LatchContention("descent latch contended");
@@ -1146,7 +1061,7 @@ Status RTree::QueryCoupledNode(PageId page, const Rect& window,
 
 Status RTree::QueryCoupled(const Rect& window, const QueryCallback& cb,
                            TraversalLatchHooks* hooks) {
-  if (hooks == nullptr) return Query(window, cb);
+  BURTREE_CHECK(hooks != nullptr);
   const PageId r = root();
   hooks->AcquireShared(r);
   if (root() != r) {
@@ -1163,9 +1078,10 @@ Status RTree::QueryCoupled(const Rect& window, const QueryCallback& cb,
   return Status::OK();
 }
 
-Status RTree::QueryOptimisticNode(PageId page, const Rect& window,
-                                  VersionLatchHooks* hooks,
-                                  std::vector<LeafEntry>* out, int* budget) {
+Status RTree::QueryOptimisticSubtree(PageId page, const Rect& window,
+                                     VersionLatchHooks* hooks,
+                                     std::vector<LeafEntry>* out,
+                                     int* budget) {
   // Per-frame private copy of the node: the snapshot is taken under a
   // momentary try-shared stripe hold (so it is never torn and needs no
   // byte-level atomics — TSan-clean), then the descent walks the copy
@@ -1204,7 +1120,7 @@ Status RTree::QueryOptimisticNode(PageId page, const Rect& window,
     for (uint32_t i = 0; i < v.count(); ++i) {
       const InternalEntry e = v.internal_entry(i);
       if (!e.rect.Intersects(window)) continue;
-      st = QueryOptimisticNode(e.child, window, hooks, &local, budget);
+      st = QueryOptimisticSubtree(e.child, window, hooks, &local, budget);
       if (!st.ok()) return st;  // budget exhausted: unwind the whole query
     }
     // Validate after the subtree completed: equality proves no writer
@@ -1220,13 +1136,6 @@ Status RTree::QueryOptimisticNode(PageId page, const Rect& window,
   }
 }
 
-Status RTree::QueryOptimisticSubtree(PageId page, const Rect& window,
-                                     VersionLatchHooks* hooks,
-                                     std::vector<LeafEntry>* out,
-                                     int* budget) {
-  return QueryOptimisticNode(page, window, hooks, out, budget);
-}
-
 Status RTree::QueryOptimistic(const Rect& window, const QueryCallback& cb,
                               VersionLatchHooks* hooks, int restart_budget) {
   BURTREE_CHECK(hooks != nullptr);
@@ -1238,7 +1147,7 @@ Status RTree::QueryOptimistic(const Rect& window, const QueryCallback& cb,
     const PageId r = root();
     std::vector<LeafEntry> matches;
     BURTREE_RETURN_IF_ERROR(
-        QueryOptimisticNode(r, window, hooks, &matches, &budget));
+        QueryOptimisticSubtree(r, window, hooks, &matches, &budget));
     // Validate-after-scan analogue of InsertCoupled's validate-after-
     // latch: a root grow mid-descent means the scan of the old root's
     // subtree may have missed the sibling the split produced. (The old

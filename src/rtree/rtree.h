@@ -254,7 +254,9 @@ class RTree {
   /// Status::LatchContention (nothing emitted) and the caller restarts.
   /// *Every* level is latched — in coupled mode internal nodes are
   /// mutated under page latches, not under a tree-wide latch, so
-  /// latch-free upper levels would race concurrent splits.
+  /// latch-free upper levels would race concurrent splits. This is the
+  /// fallback of the coupled read path once the optimistic descent's
+  /// attempts starve. `hooks` must not be null.
   Status QueryCoupled(const Rect& window, const QueryCallback& cb,
                       TraversalLatchHooks* hooks);
 
@@ -277,8 +279,11 @@ class RTree {
                          VersionLatchHooks* hooks, int restart_budget = 64);
 
   /// Optimistic scan of the subtree rooted at `page` (any level), same
-  /// protocol/budget semantics as QueryOptimistic; used by the
-  /// summary-pruned concurrent query plans. Matches append to `out` only
+  /// protocol/budget semantics as QueryOptimistic, whose recursive core
+  /// it is; also used by the summary-pruned concurrent query plans.
+  /// Snapshots `page`, recurses into overlapping children through the
+  /// copy, then validates `page`'s version — a mismatch restarts this
+  /// node with its local matches discarded. Matches append to `out` only
   /// when the whole subtree validated.
   Status QueryOptimisticSubtree(PageId page, const Rect& window,
                                 VersionLatchHooks* hooks,
@@ -327,18 +332,6 @@ class RTree {
   /// `path_from_root` exactly like a top-down delete would.
   Status DeleteAtLeaf(const std::vector<PageId>& path_from_root,
                       ObjectId oid);
-
-  /// Latch-coupled scan of one level<=1 subtree (a level-1 node and its
-  /// leaves, or a root leaf) with bounded retries: S-latch the parent,
-  /// try-S each overlapping leaf while the parent latch is held (a
-  /// sibling shift holds the parent exclusively, so an entry can never
-  /// hop between two leaves mid-scan), buffer matches, emit only on a
-  /// consistent pass. Used by the summary-pruned plan of
-  /// QueryExecutor::QueryCoupled; Status::LatchContention when the
-  /// subtree stays contended past the retry budget.
-  Status QuerySubtreeCoupled(PageId page, const Rect& window,
-                             TraversalLatchHooks* hooks,
-                             std::vector<LeafEntry>* out);
 
   // ---- Introspection ----
 
@@ -465,14 +458,6 @@ class RTree {
   Status QueryCoupledNode(PageId page, const Rect& window,
                           TraversalLatchHooks* hooks,
                           std::vector<LeafEntry>* out);
-
-  /// Recursive core of QueryOptimistic/QueryOptimisticSubtree: snapshot
-  /// `page`, recurse into overlapping children through the copy, then
-  /// validate `page`'s version; a mismatch restarts this node with its
-  /// local matches discarded. Appends to `out` only on success.
-  Status QueryOptimisticNode(PageId page, const Rect& window,
-                             VersionLatchHooks* hooks,
-                             std::vector<LeafEntry>* out, int* budget);
 
   /// Coupled-path forced re-insertion (see InsertCoupled): path.back()
   /// is the full leaf, every path element is retained/X-latched by the

@@ -1,39 +1,11 @@
 #include "update/gbu.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
 
 namespace burtree {
-
-namespace {
-
-/// Guttman ChooseLeaf criterion over an indexed rect range: least
-/// enlargement to include `target`, ties broken by smaller area.
-/// Returns n when the range is empty or no rect was accepted.
-template <typename RectOf>
-uint32_t LeastEnlargementIndex(uint32_t n, const Rect& target,
-                               RectOf rect_of) {
-  uint32_t best = n;
-  double best_enl = std::numeric_limits<double>::infinity();
-  double best_area = std::numeric_limits<double>::infinity();
-  for (uint32_t i = 0; i < n; ++i) {
-    const std::optional<Rect> r = rect_of(i);
-    if (!r.has_value()) continue;
-    const double enl = r->Enlargement(target);
-    const double area = r->Area();
-    if (enl < best_enl || (enl == best_enl && area < best_area)) {
-      best_enl = enl;
-      best_area = area;
-      best = i;
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 GeneralizedBottomUpStrategy::GeneralizedBottomUpStrategy(
     IndexSystem* system, const GbuOptions& options)
@@ -330,14 +302,12 @@ bool GeneralizedBottomUpStrategy::TryScopedParentAscend(
   NodeView parent(parent_guard.data(), tree.options().page_size,
                   tree.options().parent_pointers);
 
-  // Guttman ChooseLeaf among the parent's children — identical to the
-  // DescendChooseSubtree step the unscoped re-insert would run (the
+  // Guttman ChooseLeaf among the parent's children — the same
+  // NodeView::ChooseSubtree step the unscoped re-insert would run (the
   // source leaf competes too; its routing entry is equally stale there).
-  const uint32_t best = LeastEnlargementIndex(
-      parent.count(), new_rect,
-      [&](uint32_t i) { return std::optional<Rect>(parent.entry_rect(i)); });
-  if (best == parent.count()) return false;  // empty parent: cannot happen
-  const InternalEntry chosen = parent.internal_entry(best);
+  if (parent.count() == 0) return false;  // empty parent: cannot happen
+  const InternalEntry chosen =
+      parent.internal_entry(parent.ChooseSubtree(new_rect));
 
   const bool dest_is_source = chosen.child == leaf_id;
   if (!dest_is_source && !scope.TryExtend(chosen.child)) return false;

@@ -22,29 +22,18 @@ class QueryExecutor {
   StatusOr<size_t> Query(const Rect& window,
                          const RTree::QueryCallback& cb = nullptr);
 
-  /// One attempt at a fully latch-coupled query (coupled latch mode).
-  /// With `pruned` (and a summary attached), the summary plans the
-  /// overlapping parents-of-leaves and stamps the plan's structural
-  /// epoch; each planned subtree is scanned under coupled shared latches
-  /// and the epoch is re-validated before anything is emitted — internal
-  /// nodes may split under page latches in this mode, so a stale plan
-  /// (epoch moved) returns Status::LatchContention and the caller
-  /// retries, eventually with pruned=false (the root-anchored coupled
-  /// descent, which reads every link under its parent's latch). Plain
-  /// try-latch collisions return Status::LatchContention too.
-  StatusOr<size_t> QueryCoupled(const Rect& window,
-                                TraversalLatchHooks* hooks,
-                                const RTree::QueryCallback& cb = nullptr,
-                                bool pruned = false);
-
   /// One attempt at an optimistic version-validated query (coupled latch
-  /// mode, optimistic read mode): latch-free snapshot descent with
-  /// validate-after-read (see RTree::QueryOptimistic), summary-pruned
-  /// exactly like QueryCoupled when `pruned`. `budget` bounds snapshot
-  /// failures + validation restarts across the whole call; exhaustion
-  /// (or a stale plan epoch) returns Status::LatchContention and the
+  /// mode): latch-free snapshot descent with validate-after-read (see
+  /// RTree::QueryOptimistic). With `pruned` (and a summary attached), the
+  /// summary plans the overlapping parents-of-leaves and stamps the
+  /// plan's structural epoch; each planned subtree is scanned
+  /// optimistically and the epoch is re-validated before anything is
+  /// emitted — internal nodes may split under page latches in this mode,
+  /// so a stale plan (epoch moved) returns Status::LatchContention.
+  /// `budget` bounds snapshot failures + validation restarts across the
+  /// whole call; exhaustion returns Status::LatchContention too. The
   /// caller falls back — first to an unpruned optimistic pass, then to
-  /// the S-coupled path.
+  /// the S-coupled RTree::QueryCoupled.
   StatusOr<size_t> QueryOptimistic(const Rect& window,
                                    VersionLatchHooks* hooks,
                                    const RTree::QueryCallback& cb = nullptr,

@@ -2,7 +2,7 @@
 // sequence through UpdateBatch/InsertBatch has to leave the exact same
 // index as applying it per-op — same window-query answers, same
 // oid->leaf mapping, no object lost or duplicated — across every
-// strategy x latch-mode x read-mode combination. Plus the counter proof
+// strategy x latch-mode combination. Plus the counter proof
 // behind the batching claim: the same update volume takes measurably
 // fewer DGL acquisitions when batched.
 #include <gtest/gtest.h>
@@ -20,8 +20,8 @@ namespace burtree {
 namespace {
 
 struct BatchWorld {
-  BatchWorld(StrategyKind kind, LatchMode latch_mode, ReadMode read_mode,
-             uint64_t objects, uint32_t grid_bits = 6) {
+  BatchWorld(StrategyKind kind, LatchMode latch_mode, uint64_t objects,
+             uint32_t grid_bits = 6) {
     cfg.strategy = kind;
     cfg.workload.num_objects = objects;
     cfg.workload.seed = 47;
@@ -31,7 +31,6 @@ struct BatchWorld {
     ConcurrencyOptions copts;
     copts.io_latency_us = 0;
     copts.latch_mode = latch_mode;
-    copts.read_mode = read_mode;
     copts.grid_bits = grid_bits;
     index = std::make_unique<ConcurrentIndex>(fx.system.get(),
                                               fx.strategy.get(),
@@ -77,17 +76,17 @@ std::multiset<ObjectId> WindowOids(RTree& tree, const Rect& w) {
 }
 
 class BatchEquivalenceTest
-    : public ::testing::TestWithParam<
-          std::tuple<StrategyKind, LatchMode, ReadMode>> {};
+    : public ::testing::TestWithParam<std::tuple<StrategyKind, LatchMode>> {
+};
 
 TEST_P(BatchEquivalenceTest, BatchMatchesPerOp) {
-  const auto [kind, latch_mode, read_mode] = GetParam();
+  const auto [kind, latch_mode] = GetParam();
   constexpr uint64_t kObjects = 2000;
   constexpr size_t kMoves = 1200;
   constexpr size_t kBatch = 48;
 
-  BatchWorld per_op(kind, latch_mode, read_mode, kObjects);
-  BatchWorld batched(kind, latch_mode, read_mode, kObjects);
+  BatchWorld per_op(kind, latch_mode, kObjects);
+  BatchWorld batched(kind, latch_mode, kObjects);
   const auto moves = MakeMoves(*per_op.workload, kObjects, kMoves);
 
   for (const Move& m : moves) {
@@ -136,27 +135,21 @@ TEST_P(BatchEquivalenceTest, BatchMatchesPerOp) {
 INSTANTIATE_TEST_SUITE_P(
     AllModes, BatchEquivalenceTest,
     ::testing::Values(
-        std::make_tuple(StrategyKind::kTopDown, LatchMode::kGlobal,
-                        ReadMode::kLatched),
+        std::make_tuple(StrategyKind::kTopDown, LatchMode::kGlobal),
+        std::make_tuple(StrategyKind::kLocalizedBottomUp, LatchMode::kGlobal),
+        std::make_tuple(StrategyKind::kGeneralizedBottomUp,
+                        LatchMode::kGlobal),
         std::make_tuple(StrategyKind::kLocalizedBottomUp,
-                        LatchMode::kGlobal, ReadMode::kLatched),
+                        LatchMode::kCoupled),
         std::make_tuple(StrategyKind::kGeneralizedBottomUp,
-                        LatchMode::kGlobal, ReadMode::kLatched),
-        std::make_tuple(StrategyKind::kLocalizedBottomUp,
-                        LatchMode::kCoupled, ReadMode::kLatched),
-        std::make_tuple(StrategyKind::kGeneralizedBottomUp,
-                        LatchMode::kCoupled, ReadMode::kLatched),
-        std::make_tuple(StrategyKind::kGeneralizedBottomUp,
-                        LatchMode::kCoupled, ReadMode::kOptimistic)));
+                        LatchMode::kCoupled)));
 
 TEST(BatchInsertTest, InsertBatchMatchesPerOpInserts) {
   constexpr uint64_t kObjects = 1500;
   constexpr uint64_t kNew = 400;
   for (LatchMode mode : {LatchMode::kGlobal, LatchMode::kCoupled}) {
-    BatchWorld per_op(StrategyKind::kGeneralizedBottomUp, mode,
-                      ReadMode::kLatched, kObjects);
-    BatchWorld batched(StrategyKind::kGeneralizedBottomUp, mode,
-                       ReadMode::kLatched, kObjects);
+    BatchWorld per_op(StrategyKind::kGeneralizedBottomUp, mode, kObjects);
+    BatchWorld batched(StrategyKind::kGeneralizedBottomUp, mode, kObjects);
     Rng rng(3344);
     std::vector<BatchInsertOp> ops;
     for (uint64_t i = 0; i < kNew; ++i) {
@@ -189,12 +182,10 @@ TEST(BatchCounterTest, BatchingAmortizesDglAcquisitions) {
   // per-op total and only the root IX would amortize. At 8x8 a 50-op
   // batch covers at most 65 locks where per-op pays ~150.
   constexpr uint32_t kGridBits = 3;
-  BatchWorld per_op(StrategyKind::kGeneralizedBottomUp,
-                    LatchMode::kCoupled, ReadMode::kLatched, kObjects,
-                    kGridBits);
-  BatchWorld batched(StrategyKind::kGeneralizedBottomUp,
-                     LatchMode::kCoupled, ReadMode::kLatched, kObjects,
-                     kGridBits);
+  BatchWorld per_op(StrategyKind::kGeneralizedBottomUp, LatchMode::kCoupled,
+                    kObjects, kGridBits);
+  BatchWorld batched(StrategyKind::kGeneralizedBottomUp, LatchMode::kCoupled,
+                     kObjects, kGridBits);
   const auto moves = MakeMoves(*per_op.workload, kObjects, kMoves);
 
   for (const Move& m : moves) {
@@ -227,8 +218,7 @@ TEST(BatchCounterTest, BatchingAmortizesDglAcquisitions) {
 
 TEST(BatchApiTest, DglFailureStampsEveryOpAndMutatesNothing) {
   // An empty batch is a no-op success.
-  BatchWorld w(StrategyKind::kGeneralizedBottomUp, LatchMode::kCoupled,
-               ReadMode::kLatched, 500);
+  BatchWorld w(StrategyKind::kGeneralizedBottomUp, LatchMode::kCoupled, 500);
   std::vector<BatchUpdateOp> empty;
   EXPECT_TRUE(w.index->UpdateBatch(empty).ok());
   std::vector<BatchInsertOp> empty_ins;

@@ -1,7 +1,8 @@
-// Linearizability fuzz pack for the coupled latch mode's two read paths
-// (S-latched and optimistic version-validated) across every update
-// strategy, with forced re-insertion enabled so the coupled insert path
-// exercises the eviction + reinsert-visibility-bracket machinery.
+// Linearizability fuzz pack for the coupled latch mode's read path
+// (optimistic version-validated snapshots, with the S-coupled descent as
+// its fallback) across every update strategy, with forced re-insertion
+// enabled so the coupled insert path exercises the eviction +
+// reinsert-visibility-bracket machinery.
 //
 // Shape: seeded concurrent schedules of updates, inserts, and window
 // queries; threads own disjoint oid ranges (both their preloaded objects
@@ -9,7 +10,8 @@
 // determined by program order alone. Replaying each thread's recorded
 // ops single-threaded on a twin fixture builds the reference; the
 // concurrent index must answer a battery of windows with identical oid
-// sets through BOTH read paths, conserve every object, and keep the oid
+// sets through the plain descent, the pruned optimistic protocol and the
+// S-coupled fallback, conserve every object, and keep the oid
 // index consistent. Mid-run, queries must simply never fail or observe
 // a torn page (TSan + the bracket re-checks make a miss loud).
 #include <gtest/gtest.h>
@@ -18,7 +20,6 @@
 #include <atomic>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "cc/latch_table.h"
@@ -43,28 +44,11 @@ Status RetryAborted(Fn op) {
   }
 }
 
-/// VersionLatchHooks over a private table — valid for quiesced scans.
-class TableHooks final : public VersionLatchHooks {
- public:
-  explicit TableHooks(LatchTable* table) : table_(table) {}
-  bool TryBeginSnapshot(PageId page, uint64_t* v) override {
-    return table_->TryBeginSnapshot(page, v);
-  }
-  void EndSnapshot(PageId page) override { table_->EndSnapshot(page); }
-  bool Validate(PageId page, uint64_t v) override {
-    return table_->ValidateVersion(page, v);
-  }
-
- private:
-  LatchTable* table_;
-};
-
 class LinearizabilityFuzzTest
-    : public ::testing::TestWithParam<std::tuple<StrategyKind, ReadMode>> {
-};
+    : public ::testing::TestWithParam<StrategyKind> {};
 
 TEST_P(LinearizabilityFuzzTest, CoupledSchedulesMatchReferenceReplay) {
-  const auto [kind, read_mode] = GetParam();
+  const StrategyKind kind = GetParam();
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 150;
   constexpr uint64_t kObjects = 600;
@@ -88,7 +72,6 @@ TEST_P(LinearizabilityFuzzTest, CoupledSchedulesMatchReferenceReplay) {
 
     ConcurrencyOptions copts;
     copts.latch_mode = LatchMode::kCoupled;
-    copts.read_mode = read_mode;
     copts.io_latency_in_op = true;
     copts.io_latency_us = 15 + (seed % 4) * 45;  // per-seed delay injector
     ConcurrentIndex index(fx.system.get(), fx.strategy.get(),
@@ -174,16 +157,17 @@ TEST_P(LinearizabilityFuzzTest, CoupledSchedulesMatchReferenceReplay) {
       }
     }
 
-    // Equivalence through BOTH read paths: the plain executor descent
-    // and the pruned optimistic protocol (quiesced, so a private latch
-    // table serves the snapshots) must each produce the reference's oid
-    // set for every window.
+    // Equivalence through every read path: the plain executor descent,
+    // the pruned optimistic protocol and the S-coupled fallback
+    // (quiesced, so a private latch table serves the snapshots and the
+    // shared latches) must each produce the reference's oid set for
+    // every window.
     LatchTable qtable(256);
-    TableHooks hooks(&qtable);
+    OptimisticReaderHooks hooks(&qtable);
     Rng qrng(seed * 31 + 7);
     for (int q = 0; q < 25; ++q) {
       const Rect w = WorkloadGenerator::QueryWindowFrom(qrng, 0.25);
-      std::vector<ObjectId> got, got_opt, want;
+      std::vector<ObjectId> got, got_opt, got_coupled, want;
       ASSERT_TRUE(fx.executor
                       ->Query(w, [&](ObjectId oid,
                                      const Rect&) { got.push_back(oid); })
@@ -196,15 +180,28 @@ TEST_P(LinearizabilityFuzzTest, CoupledSchedulesMatchReferenceReplay) {
                           },
                           /*pruned=*/true)
                       .ok());
+      {
+        PageLatchSet latches(&qtable);
+        ReaderHooks reader(&latches);
+        ASSERT_TRUE(fx.system->tree()
+                        .QueryCoupled(w,
+                                      [&](ObjectId oid, const Rect&) {
+                                        got_coupled.push_back(oid);
+                                      },
+                                      &reader)
+                        .ok());
+      }
       ASSERT_TRUE(ref.executor
                       ->Query(w, [&](ObjectId oid,
                                      const Rect&) { want.push_back(oid); })
                       .ok());
       std::sort(got.begin(), got.end());
       std::sort(got_opt.begin(), got_opt.end());
+      std::sort(got_coupled.begin(), got_coupled.end());
       std::sort(want.begin(), want.end());
       EXPECT_EQ(got, want) << "window " << q;
       EXPECT_EQ(got_opt, want) << "window " << q << " (optimistic)";
+      EXPECT_EQ(got_coupled, want) << "window " << q << " (S-coupled)";
     }
 
     const uint64_t total =
@@ -214,9 +211,7 @@ TEST_P(LinearizabilityFuzzTest, CoupledSchedulesMatchReferenceReplay) {
     if (kind != StrategyKind::kTopDown) {
       testutil::ExpectOidIndexConsistent(*fx.system, total);
     }
-    if (read_mode == ReadMode::kOptimistic) {
-      EXPECT_GT(index.latch_stats().optimistic_queries, 0u);
-    }
+    EXPECT_GT(index.latch_stats().optimistic_queries, 0u);
     total_reinserts += index.latch_stats().coupled_reinserts;
   }
   // The inserts run with forced re-insertion enabled; across the seeds
@@ -225,17 +220,13 @@ TEST_P(LinearizabilityFuzzTest, CoupledSchedulesMatchReferenceReplay) {
   EXPECT_GT(total_reinserts, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, LinearizabilityFuzzTest,
-    ::testing::Combine(::testing::Values(StrategyKind::kTopDown,
-                                         StrategyKind::kLocalizedBottomUp,
-                                         StrategyKind::kGeneralizedBottomUp),
-                       ::testing::Values(ReadMode::kLatched,
-                                         ReadMode::kOptimistic)),
-    [](const auto& info) {
-      return std::string(StrategyName(std::get<0>(info.param))) + "_" +
-             ReadModeName(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Grid, LinearizabilityFuzzTest,
+                         ::testing::Values(StrategyKind::kTopDown,
+                                           StrategyKind::kLocalizedBottomUp,
+                                           StrategyKind::kGeneralizedBottomUp),
+                         [](const auto& info) {
+                           return std::string(StrategyName(info.param));
+                         });
 
 }  // namespace
 }  // namespace burtree

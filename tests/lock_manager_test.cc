@@ -74,35 +74,7 @@ TEST(LockManagerTest, TimeoutAborts) {
   ASSERT_TRUE(lm.Acquire(1, 100, LockMode::kX).ok());
   const Status s = lm.Acquire(2, 100, LockMode::kS);
   EXPECT_EQ(s.code(), StatusCode::kAborted);
-  EXPECT_GE(lm.stats().timeouts, 1u);
-}
-
-TEST(LockManagerTest, WaitDieKillsYounger) {
-  LockManagerOptions opts;
-  opts.wait_die = true;
-  LockManager lm(opts);
-  // Older txn 1 holds X; younger txn 2 must die immediately.
-  ASSERT_TRUE(lm.Acquire(1, 100, LockMode::kX).ok());
-  EXPECT_EQ(lm.Acquire(2, 100, LockMode::kX).code(), StatusCode::kAborted);
   EXPECT_GE(lm.stats().aborts, 1u);
-}
-
-TEST(LockManagerTest, WaitDieOlderWaits) {
-  LockManagerOptions opts;
-  opts.wait_die = true;
-  LockManager lm(opts);
-  // Younger txn 5 holds; older txn 2 waits rather than dying.
-  ASSERT_TRUE(lm.Acquire(5, 100, LockMode::kX).ok());
-  std::atomic<bool> granted{false};
-  std::thread waiter([&]() {
-    ASSERT_TRUE(lm.Acquire(2, 100, LockMode::kX).ok());
-    granted = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_FALSE(granted.load());
-  lm.Release(5, 100);
-  waiter.join();
-  EXPECT_TRUE(granted.load());
 }
 
 TEST(LockManagerTest, ReleaseAllDropsEverything) {

@@ -22,7 +22,6 @@ TEST(ScenarioParseTest, ParsesEveryKey) {
 name: full_spec       # trailing comment
 strategy: GBU
 latch_mode: coupled
-read_mode: optimistic
 backend: file
 wal: true
 wal_group_commit_us: 150
@@ -60,7 +59,6 @@ expect_min_tps: 100.5
   EXPECT_EQ(s.name, "full_spec");
   EXPECT_EQ(s.base.strategy, StrategyKind::kGeneralizedBottomUp);
   EXPECT_EQ(s.base.latch_mode, LatchMode::kCoupled);
-  EXPECT_EQ(s.base.read_mode, ReadMode::kOptimistic);
   EXPECT_EQ(s.base.storage.backend, StorageBackend::kFile);
   EXPECT_TRUE(s.base.storage.wal.enabled);
   EXPECT_EQ(s.base.storage.wal.group_commit_us, 150u);
@@ -124,6 +122,10 @@ TEST(ScenarioParseTest, RejectsMalformedSpecs) {
       {"backend: file\nfsync: true\n", "unknown key 'fsync'", "line 2"},
       {"backend: file\nio_engine: pool\n", "unknown key 'io_engine'",
        "line 2"},
+      {"latch_mode: coupled\nread_mode: latched\n",
+       "unknown key 'read_mode'", "line 2"},
+      {"latch_mode: coupled\nread_mode: optimistic\n",
+       "unknown key 'read_mode'", "line 2"},
   };
   for (const auto& c : removed) {
     auto spec = ParseScenario(c.text, "x");

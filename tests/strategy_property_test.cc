@@ -123,9 +123,7 @@ struct EquivalenceParam {
   Distribution dist;
 };
 
-std::string EquivalenceParamName(
-    const ::testing::TestParamInfo<EquivalenceParam>& info) {
-  const EquivalenceParam& p = info.param;
+std::string Label(const EquivalenceParam& p) {
   std::string name = DistributionName(p.dist);
   name += "_eps";
   name += std::to_string(static_cast<int>(p.epsilon * 1000));
@@ -133,6 +131,16 @@ std::string EquivalenceParamName(
   name += std::to_string(static_cast<int>(p.delta * 1000));
   return name;
 }
+
+std::string EquivalenceParamName(
+    const ::testing::TestParamInfo<EquivalenceParam>& info) {
+  return Label(info.param);
+}
+
+// Without it gtest prints the parameter as its raw bytes, including the
+// struct's uninitialised tail padding, and ctest names carry that dump:
+// they differed between two builds of the same source.
+void PrintTo(const EquivalenceParam& p, std::ostream* os) { *os << Label(p); }
 
 class StrategyTraceEquivalenceTest
     : public ::testing::TestWithParam<EquivalenceParam> {};

@@ -22,40 +22,6 @@
 namespace burtree {
 namespace {
 
-class TableVersionHooks final : public VersionLatchHooks {
- public:
-  explicit TableVersionHooks(LatchTable* table) : table_(table) {}
-  bool TryBeginSnapshot(PageId page, uint64_t* v) override {
-    return table_->TryBeginSnapshot(page, v);
-  }
-  void EndSnapshot(PageId page) override { table_->EndSnapshot(page); }
-  bool Validate(PageId page, uint64_t v) override {
-    return table_->ValidateVersion(page, v);
-  }
-
- private:
-  LatchTable* table_;
-};
-
-/// ExclusiveLatchHooks over a PageLatchSet, as the cc layer's coupled
-/// insert wires it (try-extension for everything past the root).
-class WriterHooks final : public ExclusiveLatchHooks {
- public:
-  explicit WriterHooks(PageLatchSet* set) : set_(set) {}
-  void AcquireExclusive(PageId page) override {
-    set_->AcquireExclusive(page);
-  }
-  bool TryAcquireExclusive(PageId page) override {
-    return set_->TryExtendExclusive(page);
-  }
-  void ReleaseExclusive(PageId page) override {
-    set_->ReleaseExclusive(page);
-  }
-
- private:
-  PageLatchSet* set_;
-};
-
 TEST(SummarySnapshotTest, PrunedOptimisticStaysCorrectUnderSplitStorm) {
   constexpr uint64_t kObjects = 3000;
   constexpr int kWriters = 8;
@@ -94,10 +60,14 @@ TEST(SummarySnapshotTest, PrunedOptimisticStaysCorrectUnderSplitStorm) {
   std::atomic<bool> writer_failed{false};
   std::atomic<bool> mismatch{false};
   std::atomic<uint64_t> consistent_reads{0};
+  // The storm starts once both readers run: on a loaded host the eight
+  // writers could otherwise finish before a reader completes one read.
+  std::atomic<int> readers_running{0};
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&, t]() {
+      while (readers_running.load() < 2) std::this_thread::yield();
       Rng rng(900 + static_cast<uint64_t>(t));
       for (uint64_t j = 0; j < kInsertsPerWriter; ++j) {
         const ObjectId oid = 100000 + kInsertsPerWriter *
@@ -108,7 +78,7 @@ TEST(SummarySnapshotTest, PrunedOptimisticStaysCorrectUnderSplitStorm) {
                   0.6 + rng.NextDouble() * 0.35});
         for (;;) {
           PageLatchSet latches(&table);
-          WriterHooks hooks(&latches);
+          CoupledWriterHooks hooks(&latches);
           const Status st = tree.InsertCoupled(oid, r, &hooks);
           if (st.ok()) break;
           if (st.code() != StatusCode::kLatchContention) {
@@ -124,7 +94,8 @@ TEST(SummarySnapshotTest, PrunedOptimisticStaysCorrectUnderSplitStorm) {
   // Two optimistic readers hammer the pruned plan throughout the storm.
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t]() {
-      TableVersionHooks hooks(&table);
+      readers_running.fetch_add(1);
+      OptimisticReaderHooks hooks(&table);
       size_t i = static_cast<size_t>(t);
       while (!storm_done.load(std::memory_order_acquire)) {
         const size_t p = i++ % probes.size();
@@ -159,7 +130,7 @@ TEST(SummarySnapshotTest, PrunedOptimisticStaysCorrectUnderSplitStorm) {
   // Quiesced: pruned and unpruned scans agree on oid sets, and pruning
   // measurably reduces page reads (the whole point of carrying the
   // summary snapshot into the concurrent read paths).
-  TableVersionHooks hooks(&table);
+  OptimisticReaderHooks hooks(&table);
   Rng qrng(4242);
   uint64_t pruned_io = 0, full_io = 0;
   for (int q = 0; q < 20; ++q) {
