@@ -1,7 +1,7 @@
 #include "buffer/buffer_pool.h"
 
 #include <chrono>
-#include <iterator>
+#include <cstring>
 
 #include "common/logging.h"
 #include "storage/wal/wal_manager.h"
@@ -71,11 +71,7 @@ StatusOr<Page*> BufferPool::FetchPage(PageId id) {
     if (it != shard.frames.end()) {
       Frame* f = it->second.get();
       ++shard.stats.hits;
-      file_->io_stats().RecordBufferHit();
-      if (f->in_lru) {
-        shard.lru.erase(f->lru_it);
-        f->in_lru = false;
-      }
+      if (f->in_lru()) LruErase(shard, f);
       f->page.Pin();
       return &f->page;
     }
@@ -110,6 +106,35 @@ StatusOr<Page*> BufferPool::FetchPage(PageId id) {
   shard.frames.emplace(id, std::move(f));
   EvictToCapacity(shard, lock);
   return page;
+}
+
+Status BufferPool::CopyPage(PageId id, uint8_t* dst) {
+  Shard& shard = ShardFor(id);
+  {
+    std::unique_lock lock(shard.mu);
+    auto it = shard.frames.find(id);
+    if (it != shard.frames.end()) {
+      Frame* f = it->second.get();
+      ++shard.stats.hits;
+      std::memcpy(dst, f->page.data(), f->page.size());
+      // FetchPage + UnpinPage(clean) would take an unpinned frame off the
+      // LRU, put it back at the front and evict; a pinned frame keeps its
+      // place.
+      if (f->in_lru()) {
+        LruErase(shard, f);
+        LruPushFront(shard, f);
+        EvictToCapacity(shard, lock);
+      }
+      return Status::OK();
+    }
+  }
+  // Not resident: a miss, a miss already in flight, or a victim whose
+  // write-back has not landed. FetchPage waits, coalesces or loads.
+  StatusOr<Page*> page = FetchPage(id);
+  BURTREE_RETURN_IF_ERROR(page.status());
+  std::memcpy(dst, page.value()->data(), page.value()->size());
+  UnpinPage(id, /*dirty=*/false);
+  return Status::OK();
 }
 
 Page* BufferPool::NewPage() {
@@ -153,10 +178,8 @@ void BufferPool::UnpinPage(PageId id, bool dirty) {
   }
   f->page.Unpin();
   if (f->page.pin_count() == 0) {
-    BURTREE_DCHECK(!f->in_lru);
-    shard.lru.push_front(id);
-    f->lru_it = shard.lru.begin();
-    f->in_lru = true;
+    BURTREE_DCHECK(!f->in_lru());
+    LruPushFront(shard, f);
     if (shard.delete_waiters > 0) shard.pin_cv.notify_all();
     EvictToCapacity(shard, lock);
   }
@@ -231,10 +254,11 @@ Status BufferPool::DeletePage(PageId id) {
   std::unique_lock lock(shard.mu);
   // Freeing the disk page while its eviction write-back (or a miss read)
   // is in flight would make that latch-free I/O fail: wait for it to
-  // land. A pinned frame is waited out too: the path that pins a page
-  // without holding its latch — an optimistic reader's snapshot copy —
-  // holds the pin only transiently and blocks on nothing a structural
-  // deleter can hold, so the wait always drains. The deadline keeps a
+  // land. A pinned frame is waited out too: the one path that pins a
+  // page without holding its latch — CopyPage's miss path, an optimistic
+  // reader's snapshot of a non-resident node (a hit never pins) — holds
+  // the pin only transiently and blocks on nothing a structural deleter
+  // can hold, so the wait always drains. The deadline keeps a
   // genuinely leaked guard (a caller deleting a page it still has
   // pinned) a loud error instead of a hang.
   const auto deadline =
@@ -245,7 +269,7 @@ Status BufferPool::DeletePage(PageId id) {
     if (it == shard.frames.end()) break;
     Frame* f = it->second.get();
     if (f->page.pin_count() == 0) {
-      if (f->in_lru) shard.lru.erase(f->lru_it);
+      if (f->in_lru()) LruErase(shard, f);
       shard.frames.erase(it);  // dirty content intentionally discarded
       break;
     }
@@ -358,22 +382,20 @@ void BufferPool::EvictToCapacity(Shard& shard,
   std::vector<PageWriteRequest> batch;
   std::vector<PageId> dirty_ids;
   size_t examined = 0;
-  const size_t max_examine = shard.lru.size();
-  while (shard.frames.size() > shard.capacity && !shard.lru.empty() &&
+  const size_t max_examine = shard.lru_size;
+  while (shard.frames.size() > shard.capacity && shard.lru_size > 0 &&
          examined < max_examine) {
     ++examined;
-    const PageId victim = shard.lru.back();
-    shard.lru.pop_back();
-    auto it = shard.frames.find(victim);
-    BURTREE_CHECK(it != shard.frames.end());
-    Frame* f = it->second.get();
+    Frame* f = static_cast<Frame*>(shard.lru.prev);
+    LruErase(shard, f);
     if (wal_ != nullptr && f->page.is_dirty() &&
         (f->page.wal_pending() > 0 || f->page.wal_lsn() > durable)) {
-      shard.lru.push_front(victim);
-      f->lru_it = shard.lru.begin();
+      LruPushFront(shard, f);
       continue;
     }
-    f->in_lru = false;
+    const PageId victim = f->page.page_id();
+    auto it = shard.frames.find(victim);
+    BURTREE_CHECK(it != shard.frames.end());
     if (f->page.is_dirty()) {
       // The frame dies once the write-back lands, so fold its recovery
       // floor into the unsynced accumulator now (kept on the page too:
@@ -428,14 +450,35 @@ void BufferPool::FinishWritebackLocked(Shard& shard,
     shard.stats.evictions -= dirty_ids.size();  // nor leave the pool
     for (PageId id : dirty_ids) {
       auto node = shard.writeback.extract(id);
-      Frame* f = node.mapped().get();
-      shard.lru.push_back(id);  // back of the LRU: first victims next time
-      f->lru_it = std::prev(shard.lru.end());
-      f->in_lru = true;
+      // Back of the LRU: first victims next time.
+      LruPushBack(shard, node.mapped().get());
       shard.frames.insert(std::move(node));
     }
   }
   shard.writeback_cv.notify_all();
+}
+
+void BufferPool::LruPushFront(Shard& shard, Frame* f) {
+  f->prev = &shard.lru;
+  f->next = shard.lru.next;
+  f->next->prev = f;
+  shard.lru.next = f;
+  ++shard.lru_size;
+}
+
+void BufferPool::LruPushBack(Shard& shard, Frame* f) {
+  f->next = &shard.lru;
+  f->prev = shard.lru.prev;
+  f->prev->next = f;
+  shard.lru.prev = f;
+  ++shard.lru_size;
+}
+
+void BufferPool::LruErase(Shard& shard, Frame* f) {
+  f->prev->next = f->next;
+  f->next->prev = f->prev;
+  f->prev = f->next = nullptr;
+  --shard.lru_size;
 }
 
 void BufferPool::StampWalLsn(Page* page, uint64_t lsn) {

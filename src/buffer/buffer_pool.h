@@ -7,7 +7,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -80,6 +79,16 @@ class BufferPool {
   /// exactly once.
   StatusOr<Page*> FetchPage(PageId id);
 
+  /// Copies the page image of `id` into `dst` (file()->page_size()
+  /// bytes) and leaves the pool exactly as FetchPage + UnpinPage(id,
+  /// false) would: same hit/miss counts, same LRU order, same evictions.
+  /// A hit is one shard-latch section that never pins; a miss goes
+  /// through FetchPage (coalescing with an in-flight read of the page)
+  /// and unpins. Never dirties the frame. The caller must exclude
+  /// writers of the page for the duration — the optimistic query
+  /// descent holds the page's stripe shared.
+  Status CopyPage(PageId id, uint8_t* dst);
+
   /// Allocates a new page on disk and returns it pinned and dirty.
   Page* NewPage();
 
@@ -150,17 +159,27 @@ class BufferPool {
   uint64_t WalDirtyRecFloor() const;
 
  private:
-  struct Frame {
+  /// Intrusive LRU links: a frame is on its shard's list iff prev is
+  /// non-null, so no LRU operation allocates.
+  struct LruLink {
+    LruLink* prev = nullptr;
+    LruLink* next = nullptr;
+  };
+
+  struct Frame : LruLink {
     explicit Frame(size_t page_size) : page(page_size) {}
+    bool in_lru() const { return prev != nullptr; }
     Page page;
-    std::list<PageId>::iterator lru_it;  // valid iff in_lru
-    bool in_lru = false;
   };
 
   struct Shard {
+    Shard() { lru.prev = lru.next = &lru; }
     mutable std::mutex mu;
     std::unordered_map<PageId, std::unique_ptr<Frame>> frames;
-    std::list<PageId> lru;  // front = most recent; only unpinned pages
+    /// Circular list through the sentinel: next = most recent, prev =
+    /// the eviction victim. Holds exactly the unpinned resident frames.
+    LruLink lru;
+    size_t lru_size = 0;
     /// Dirty victims whose batched write-back is running latch-free;
     /// removed (and writeback_cv notified) once the batch lands.
     std::unordered_map<PageId, std::unique_ptr<Frame>> writeback;
@@ -179,6 +198,11 @@ class BufferPool {
   };
 
   Shard& ShardFor(PageId id) { return *shards_[shard_of(id)]; }
+
+  // LRU list primitives; shard latch held.
+  static void LruPushFront(Shard& shard, Frame* f);
+  static void LruPushBack(Shard& shard, Frame* f);
+  static void LruErase(Shard& shard, Frame* f);
 
   /// Detaches LRU victims under `lock`, then — if any were dirty —
   /// releases the latch, writes them back as one group write, re-latches

@@ -38,11 +38,7 @@ bool LatchTable::ValidateVersion(PageId page, uint64_t version) const {
 
 bool LatchTable::TryBeginSnapshot(PageId page, uint64_t* version) {
   const size_t s = StripeOf(page);
-  try_acquires_.fetch_add(1, std::memory_order_relaxed);
-  if (!stripe(s).try_lock_shared()) {
-    try_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (!stripe(s).try_lock_shared()) return false;
   // S-held excludes X, so the stamp is even and stable for the duration
   // of the snapshot hold.
   *version = stripe_version(s).load(std::memory_order_acquire);
@@ -51,6 +47,14 @@ bool LatchTable::TryBeginSnapshot(PageId page, uint64_t* version) {
 
 void LatchTable::EndSnapshot(PageId page) {
   stripe(StripeOf(page)).unlock_shared();
+}
+
+void LatchTable::AddTryCounts(uint64_t tries, uint64_t failures) {
+  if (tries == 0) return;
+  try_acquires_.fetch_add(tries, std::memory_order_relaxed);
+  if (failures != 0) {
+    try_failures_.fetch_add(failures, std::memory_order_relaxed);
+  }
 }
 
 LatchTableStats LatchTable::stats() const {

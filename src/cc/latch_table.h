@@ -120,11 +120,17 @@ class LatchTable {
 
   /// Non-blocking shared acquisition of `page`'s stripe paired with its
   /// version stamp. On success the caller must EndSnapshot(page) after
-  /// copying; on failure (writer present) nothing is held.
+  /// copying; on failure (writer present) nothing is held. Counts
+  /// nothing: a snapshot writes no table-wide line, and its caller
+  /// reports its tries through AddTryCounts.
   bool TryBeginSnapshot(PageId page, uint64_t* version);
 
   /// Releases the shared hold taken by a successful TryBeginSnapshot.
   void EndSnapshot(PageId page);
+
+  /// Adds a reader's locally counted snapshot tries and failures to
+  /// LatchTableStats::try_acquires / try_failures.
+  void AddTryCounts(uint64_t tries, uint64_t failures);
 
   LatchTableStats stats() const;
 
@@ -269,12 +275,24 @@ class CoupledWriterHooks final : public ExclusiveLatchHooks {
 };
 
 /// VersionLatchHooks over the table's per-stripe version stamps (the
-/// optimistic snapshot descent, RTree::QueryOptimistic).
+/// optimistic snapshot descent, RTree::QueryOptimistic). Counts its
+/// snapshot tries in plain members and adds them to the table's totals
+/// once, on destruction, so a node visit writes no table-wide counter.
+/// One instance serves one query attempt on one thread.
 class OptimisticReaderHooks final : public VersionLatchHooks {
  public:
   explicit OptimisticReaderHooks(LatchTable* table) : table_(table) {}
+  ~OptimisticReaderHooks() override {
+    table_->AddTryCounts(tries_, failures_);
+  }
+  OptimisticReaderHooks(const OptimisticReaderHooks&) = delete;
+  OptimisticReaderHooks& operator=(const OptimisticReaderHooks&) = delete;
+
   bool TryBeginSnapshot(PageId page, uint64_t* version) override {
-    return table_->TryBeginSnapshot(page, version);
+    ++tries_;
+    if (table_->TryBeginSnapshot(page, version)) return true;
+    ++failures_;
+    return false;
   }
   void EndSnapshot(PageId page) override { table_->EndSnapshot(page); }
   bool Validate(PageId page, uint64_t version) override {
@@ -283,6 +301,8 @@ class OptimisticReaderHooks final : public VersionLatchHooks {
 
  private:
   LatchTable* table_;
+  uint64_t tries_ = 0;
+  uint64_t failures_ = 0;
 };
 
 }  // namespace burtree

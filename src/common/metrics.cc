@@ -76,12 +76,10 @@ LatencySummary SummarizeLatencyNs(std::vector<uint64_t>& samples) {
 }
 
 std::string IoStats::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "IoStats{reads=%llu, writes=%llu, buffer_hits=%llu}",
+  char buf[120];
+  std::snprintf(buf, sizeof(buf), "IoStats{reads=%llu, writes=%llu}",
                 static_cast<unsigned long long>(reads()),
-                static_cast<unsigned long long>(writes()),
-                static_cast<unsigned long long>(buffer_hits()));
+                static_cast<unsigned long long>(writes()));
   return buf;
 }
 

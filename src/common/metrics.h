@@ -16,7 +16,6 @@ class IoStats {
  public:
   void RecordRead() { reads_.fetch_add(1, std::memory_order_relaxed); }
   void RecordWrite() { writes_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordBufferHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
   /// Batched variant for the group write-back path.
   void RecordWrites(uint64_t n) {
     writes_.fetch_add(n, std::memory_order_relaxed);
@@ -24,16 +23,12 @@ class IoStats {
 
   uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
   uint64_t writes() const { return writes_.load(std::memory_order_relaxed); }
-  uint64_t buffer_hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
   /// Total disk accesses: the paper's headline metric.
   uint64_t total_io() const { return reads() + writes(); }
 
   void Reset() {
     reads_.store(0, std::memory_order_relaxed);
     writes_.store(0, std::memory_order_relaxed);
-    hits_.store(0, std::memory_order_relaxed);
   }
 
   std::string ToString() const;
@@ -41,21 +36,18 @@ class IoStats {
  private:
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> hits_{0};
 };
 
 /// Snapshot of an IoStats for interval measurement (stats at t1 - t0).
 struct IoSnapshot {
   uint64_t reads = 0;
   uint64_t writes = 0;
-  uint64_t buffer_hits = 0;
 
   static IoSnapshot Take(const IoStats& s) {
-    return IoSnapshot{s.reads(), s.writes(), s.buffer_hits()};
+    return IoSnapshot{s.reads(), s.writes()};
   }
   IoSnapshot operator-(const IoSnapshot& o) const {
-    return IoSnapshot{reads - o.reads, writes - o.writes,
-                      buffer_hits - o.buffer_hits};
+    return IoSnapshot{reads - o.reads, writes - o.writes};
   }
   uint64_t total_io() const { return reads + writes; }
 };

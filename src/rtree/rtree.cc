@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <queue>
 #include <thread>
 
@@ -1078,15 +1077,37 @@ Status RTree::QueryCoupled(const Rect& window, const QueryCallback& cb,
   return Status::OK();
 }
 
+namespace {
+/// The optimistic descent's node copies: one page buffer per descent
+/// depth, kept for the thread's lifetime. A node's copy must outlive
+/// only its children's visits, which all run one depth further down, so
+/// a node visit allocates nothing once the thread has seen its deepest
+/// scan and largest page size.
+uint8_t* SnapshotBuffer(size_t depth, size_t page_size) {
+  thread_local std::vector<std::vector<uint8_t>> buffers;
+  if (buffers.size() <= depth) buffers.resize(depth + 1);
+  std::vector<uint8_t>& buf = buffers[depth];
+  if (buf.size() < page_size) buf.resize(page_size);
+  return buf.data();
+}
+}  // namespace
+
 Status RTree::QueryOptimisticSubtree(PageId page, const Rect& window,
                                      VersionLatchHooks* hooks,
                                      std::vector<LeafEntry>* out,
                                      int* budget) {
-  // Per-frame private copy of the node: the snapshot is taken under a
-  // momentary try-shared stripe hold (so it is never torn and needs no
-  // byte-level atomics — TSan-clean), then the descent walks the copy
-  // holding nothing.
-  std::vector<uint8_t> buf(options_.page_size);
+  return QueryOptimisticNode(page, window, hooks, out, budget, /*depth=*/0);
+}
+
+Status RTree::QueryOptimisticNode(PageId page, const Rect& window,
+                                  VersionLatchHooks* hooks,
+                                  std::vector<LeafEntry>* out, int* budget,
+                                  size_t depth) {
+  // The node is copied under a momentary try-shared stripe hold (so the
+  // copy is never torn and needs no byte-level atomics — TSan-clean),
+  // then the descent walks the copy holding nothing.
+  uint8_t* buf = SnapshotBuffer(depth, pool_->file()->page_size());
+  const size_t mark = out->size();
   while (true) {
     if (*budget <= 0) {
       return Status::LatchContention("optimistic restart budget exhausted");
@@ -1097,13 +1118,11 @@ Status RTree::QueryOptimisticSubtree(PageId page, const Rect& window,
       std::this_thread::yield();
       continue;
     }
-    {
-      PageGuard g = PageGuard::Fetch(pool_, page);
-      std::memcpy(buf.data(), g.data(), options_.page_size);
-    }
+    const Status copied = pool_->CopyPage(page, buf);
     hooks->EndSnapshot(page);
+    BURTREE_CHECK(copied.ok());  // the caller excludes page frees
 
-    NodeView v(buf.data(), options_.page_size, options_.parent_pointers);
+    NodeView v(buf, options_.page_size, options_.parent_pointers);
     if (v.is_leaf()) {
       // The copy was taken under a shared hold, so it is internally
       // consistent; whether the *link* that led here was current is the
@@ -1115,24 +1134,23 @@ Status RTree::QueryOptimisticSubtree(PageId page, const Rect& window,
       return Status::OK();
     }
 
-    std::vector<LeafEntry> local;
-    Status st = Status::OK();
     for (uint32_t i = 0; i < v.count(); ++i) {
       const InternalEntry e = v.internal_entry(i);
       if (!e.rect.Intersects(window)) continue;
-      st = QueryOptimisticSubtree(e.child, window, hooks, &local, budget);
-      if (!st.ok()) return st;  // budget exhausted: unwind the whole query
+      const Status st = QueryOptimisticNode(e.child, window, hooks, out,
+                                            budget, depth + 1);
+      if (!st.ok()) {  // budget exhausted: unwind the whole query
+        out->resize(mark);
+        return st;
+      }
     }
     // Validate after the subtree completed: equality proves no writer
     // touched this node since the snapshot, i.e. every child link
-    // followed above was current throughout. A mismatch discards the
-    // subtree's local matches and restarts this node only.
-    if (!hooks->Validate(page, ver)) {
-      --*budget;
-      continue;
-    }
-    out->insert(out->end(), local.begin(), local.end());
-    return Status::OK();
+    // followed above was current throughout. A mismatch drops the
+    // matches the subtree appended and restarts this node only.
+    if (hooks->Validate(page, ver)) return Status::OK();
+    out->resize(mark);
+    --*budget;
   }
 }
 

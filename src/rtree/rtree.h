@@ -281,10 +281,11 @@ class RTree {
   /// Optimistic scan of the subtree rooted at `page` (any level), same
   /// protocol/budget semantics as QueryOptimistic, whose recursive core
   /// it is; also used by the summary-pruned concurrent query plans.
-  /// Snapshots `page`, recurses into overlapping children through the
-  /// copy, then validates `page`'s version — a mismatch restarts this
-  /// node with its local matches discarded. Matches append to `out` only
-  /// when the whole subtree validated.
+  /// Snapshots `page` (BufferPool::CopyPage under the snapshot hold),
+  /// recurses into overlapping children through the copy, then validates
+  /// `page`'s version — a mismatch truncates `out` back to its size on
+  /// entry and restarts this node. Matches stay in `out` only when the
+  /// whole subtree validated.
   Status QueryOptimisticSubtree(PageId page, const Rect& window,
                                 VersionLatchHooks* hooks,
                                 std::vector<LeafEntry>* out, int* budget);
@@ -458,6 +459,14 @@ class RTree {
   Status QueryCoupledNode(PageId page, const Rect& window,
                           TraversalLatchHooks* hooks,
                           std::vector<LeafEntry>* out);
+
+  /// Recursive core of QueryOptimisticSubtree. `depth` counts levels
+  /// below the scan's subtree root and selects the node's snapshot
+  /// buffer, reused by every node visited at that depth.
+  Status QueryOptimisticNode(PageId page, const Rect& window,
+                             VersionLatchHooks* hooks,
+                             std::vector<LeafEntry>* out, int* budget,
+                             size_t depth);
 
   /// Coupled-path forced re-insertion (see InsertCoupled): path.back()
   /// is the full leaf, every path element is retained/X-latched by the

@@ -4,9 +4,13 @@
 // protocol: a slow page read must not block same-shard hits, concurrent
 // fetches of one page must coalesce into a single disk read, a failed
 // read must wake waiters, and the whole thing must survive a
-// multi-thread stress run under TSan.
+// multi-thread stress run under TSan. CopyPage, the pin-free read of the
+// optimistic query descent, shares the miss path and is held to the
+// same protocol.
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -231,12 +235,13 @@ TEST(BufferMissPathTest, MissInFlightStressKeepsFramesConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// DeletePage vs. a transient no-latch pin. Optimistic snapshot copies
-// pin a page while holding no latch on it, so a structural delete (leaf
-// condense, root shrink) can catch the page momentarily pinned.
-// DeletePage must wait the pin out, not fail the whole update with
-// InvalidArgument (a schedule-fuzz flake this reproduces
-// deterministically).
+// DeletePage vs. a transient no-latch pin. CopyPage's miss path — an
+// optimistic snapshot of a non-resident node — pins a page while holding
+// no latch on it, so a structural delete (leaf condense, root shrink) can
+// catch the page momentarily pinned. DeletePage must wait the pin out,
+// not fail the whole update with InvalidArgument (a schedule-fuzz flake
+// this reproduces deterministically). A CopyPage hit never pins, so it
+// never makes a delete wait.
 // ---------------------------------------------------------------------------
 
 TEST(BufferMissPathTest, DeletePageWaitsOutTransientPin) {
@@ -262,6 +267,182 @@ TEST(BufferMissPathTest, DeletePageWaitsOutTransientPin) {
   // The frame is gone: a re-fetch would read the freed slot, so just
   // check the pool's view directly via a fresh allocation reusing it.
   EXPECT_EQ(file.live_pages(), 3u);
+}
+
+TEST(BufferMissPathTest, DeletePageDoesNotWaitOnCopyPageHit) {
+  PageFile file(kPageSize);
+  for (int i = 0; i < 4; ++i) file.Allocate();
+  BufferPool pool(&file, /*capacity=*/4, /*shards=*/1);
+  for (PageId id = 0; id < 4; ++id) {  // all resident: copies below hit
+    ASSERT_TRUE(pool.FetchPage(id).ok());
+    pool.UnpinPage(id, /*dirty=*/false);
+  }
+  uint8_t buf[kPageSize];
+
+  // A hit leaves no pin behind: were one left, this delete would park on
+  // it until its 10 s deadline and then fail with InvalidArgument.
+  ASSERT_TRUE(pool.CopyPage(2, buf).ok());
+  ASSERT_TRUE(pool.DeletePage(2).ok());
+
+  // The same page copied from another thread while it is deleted: the
+  // copier's hits interleave with the delete, and once the page is gone
+  // its next copy misses and reports the freed page.
+  std::atomic<uint64_t> copies{0};
+  std::atomic<bool> stop{false};
+  std::thread copier([&]() {
+    uint8_t mine[kPageSize];
+    while (!stop.load() && pool.CopyPage(3, mine).ok()) copies.fetch_add(1);
+  });
+  while (copies.load() < 100) std::this_thread::yield();
+  ASSERT_TRUE(pool.DeletePage(3).ok());
+  stop = true;
+  copier.join();
+  EXPECT_EQ(file.live_pages(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// CopyPage's miss path is FetchPage's: it waits out an in-flight
+// write-back of the page and coalesces onto an in-flight read of it.
+// GatedStore parks one kind of I/O until the test opens the gate, so the
+// test acts while that I/O is deterministically in flight.
+// ---------------------------------------------------------------------------
+
+class GatedStore final : public PageStore {
+ public:
+  explicit GatedStore(PageFile* inner)
+      : PageStore(inner->page_size()), inner_(inner) {}
+
+  PageId Allocate() override { return inner_->Allocate(); }
+  Status Free(PageId id) override { return inner_->Free(id); }
+  Status Read(PageId id, uint8_t* out) override {
+    Park(/*writeback=*/false);
+    return inner_->Read(id, out);
+  }
+  Status Write(PageId id, const uint8_t* in) override {
+    return inner_->Write(id, in);
+  }
+  Status FlushDirtyBatch(const std::vector<PageWriteRequest>& reqs) override {
+    Park(/*writeback=*/true);
+    return inner_->FlushDirtyBatch(reqs);
+  }
+  size_t live_pages() const override { return inner_->live_pages(); }
+  size_t allocated_slots() const override {
+    return inner_->allocated_slots();
+  }
+
+  /// Closes the gate on reads or on batched write-backs.
+  void Hold(bool writeback) {
+    std::lock_guard lock(mu_);
+    held_ = true;
+    hold_writebacks_ = writeback;
+  }
+  /// Blocks until `n` I/Os are parked at the gate.
+  void WaitParked(int n) {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] { return parked_ >= n; });
+  }
+  int parked() {
+    std::lock_guard lock(mu_);
+    return parked_;
+  }
+  void Open() {
+    std::lock_guard lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+
+ private:
+  void Park(bool writeback) {
+    std::unique_lock lock(mu_);
+    if (!held_ || writeback != hold_writebacks_) return;
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return !held_; });
+  }
+
+  PageFile* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool hold_writebacks_ = false;
+  int parked_ = 0;
+};
+
+TEST(BufferMissPathTest, CopyPageWaitsOutInFlightWriteback) {
+  PageFile file(kPageSize);
+  for (int i = 0; i < 4; ++i) file.Allocate();
+  GatedStore store(&file);
+  BufferPool pool(&store, /*capacity=*/1, /*shards=*/1);
+  {
+    auto res = pool.FetchPage(0);  // resident, dirty, within budget
+    ASSERT_TRUE(res.ok());
+    res.value()->data()[7] = 0xEE;
+    pool.UnpinPage(0, /*dirty=*/true);
+  }
+
+  // A fresh page pushes dirty page 0 out; its write-back parks at the
+  // gate with the disk still holding the stale image.
+  store.Hold(/*writeback=*/true);
+  std::thread evictor([&]() {
+    Page* p = pool.NewPage();
+    pool.UnpinPage(p->page_id(), /*dirty=*/false);
+  });
+  store.WaitParked(1);
+
+  std::atomic<bool> copied{false};
+  uint8_t buf[kPageSize] = {};
+  std::thread copier([&]() {
+    ASSERT_TRUE(pool.CopyPage(0, buf).ok());
+    copied = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(copied.load()) << "CopyPage did not wait for the write-back";
+  store.Open();
+  copier.join();
+  evictor.join();
+  // Reading disk before the write-back landed would have copied 0x00.
+  EXPECT_EQ(buf[7], 0xEE);
+  ASSERT_TRUE(pool.FlushAll().ok());
+}
+
+TEST(BufferMissPathTest, CopyPageCoalescesOntoInFlightMiss) {
+  PageFile file(kPageSize);
+  for (int i = 0; i < 4; ++i) file.Allocate();
+  {
+    uint8_t img[kPageSize] = {};
+    img[9] = 0xC3;
+    ASSERT_TRUE(file.Write(2, img).ok());
+  }
+  GatedStore store(&file);
+  BufferPool pool(&store, /*capacity=*/4, /*shards=*/1);
+
+  // The first copy misses and parks its read at the gate; the others
+  // arrive while that read is in flight and must wait for it, not read.
+  store.Hold(/*writeback=*/false);
+  constexpr int kCopiers = 4;
+  std::vector<std::thread> copiers;
+  std::atomic<int> good{0};
+  for (int t = 0; t < kCopiers; ++t) {
+    copiers.emplace_back([&]() {
+      uint8_t buf[kPageSize] = {};
+      if (pool.CopyPage(2, buf).ok() && buf[9] == 0xC3) good.fetch_add(1);
+    });
+    if (t == 0) store.WaitParked(1);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(store.parked(), 1) << "a coalescing copy issued its own read";
+  store.Open();
+  for (auto& t : copiers) t.join();
+  EXPECT_EQ(good.load(), kCopiers);
+  EXPECT_EQ(file.io_stats().reads(), 1u);
+  const BufferStats stats = pool.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<uint64_t>(kCopiers - 1));
+  // The miss path's transient pin is gone.
+  auto res = pool.FetchPage(2);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res.value()->pin_count(), 1);
+  pool.UnpinPage(2, false);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Sharded-pool tests: concurrent pin/unpin correctness, the per-shard
 // eviction-order property, and the regression that shard count 1 behaves
-// byte-identically to the classic single-latch LRU pool.
+// byte-identically to the classic single-latch LRU pool, with CopyPage
+// replaying exactly as a fetch + clean unpin.
 #include <atomic>
 #include <cstring>
 #include <list>
@@ -253,6 +254,7 @@ class ReferenceLru {
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
+  uint64_t evictions() const { return evictions_; }
   size_t resident() const { return frames_.size(); }
 
  private:
@@ -272,6 +274,7 @@ class ReferenceLru {
         EXPECT_TRUE(file_->Write(victim, f->page.data()).ok());
       }
       frames_.erase(victim);
+      ++evictions_;
     }
   }
 
@@ -281,13 +284,15 @@ class ReferenceLru {
   std::list<PageId> lru_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
+  uint64_t evictions_ = 0;
 };
 
-TEST(BufferPoolShardTest, ShardCountOneIsByteIdenticalToClassicLru) {
-  // Replay one pseudo-random op script against the sharded pool at shard
-  // count 1 and against the reference single-LRU model, each over its own
-  // PageFile, and require identical I/O counts, hit/miss streams, and
-  // final disk bytes.
+// Replays one pseudo-random op script against the sharded pool at shard
+// count 1 and against the reference single-LRU model, each over its own
+// PageFile, and requires identical I/O counts, hit/miss/eviction streams,
+// and final disk bytes. A `copy_share` of the fetches go through
+// BufferPool::CopyPage, which the model replays as fetch + clean unpin.
+void ReplayAgainstClassicLru(double copy_share) {
   PageFile pool_file(kPageSize);
   PageFile ref_file(kPageSize);
   BufferPool pool(&pool_file, 6, 1);
@@ -307,6 +312,25 @@ TEST(BufferPoolShardTest, ShardCountOneIsByteIdenticalToClassicLru) {
       live.push_back(a->page_id());
       pool.UnpinPage(a->page_id(), true);
       ref.Unpin(b->page_id(), true);
+    } else if (r < 0.80 && copy_share > 0 && rng.NextBool(copy_share)) {
+      const PageId id = live[rng.NextBelow(live.size())];
+      // Sometimes copy a page someone holds pinned: that frame is off
+      // the LRU and must stay where it is.
+      const bool held = rng.NextBool(0.25);
+      if (held) {
+        ASSERT_TRUE(pool.FetchPage(id).ok());
+        ref.Fetch(id);
+      }
+      uint8_t copy[kPageSize];
+      ASSERT_TRUE(pool.CopyPage(id, copy).ok());
+      Page* b = ref.Fetch(id);
+      ASSERT_EQ(0, std::memcmp(copy, b->data(), kPageSize))
+          << "divergent copy of page " << id << " at step " << step;
+      ref.Unpin(id, /*dirty=*/false);
+      if (held) {
+        pool.UnpinPage(id, /*dirty=*/false);
+        ref.Unpin(id, /*dirty=*/false);
+      }
     } else if (r < 0.80) {
       const PageId id = live[rng.NextBelow(live.size())];
       auto res = pool.FetchPage(id);
@@ -339,6 +363,7 @@ TEST(BufferPoolShardTest, ShardCountOneIsByteIdenticalToClassicLru) {
     ASSERT_EQ(pool.resident_frames(), ref.resident()) << "step " << step;
     ASSERT_EQ(pool.stats().hits, ref.hits()) << "step " << step;
     ASSERT_EQ(pool.stats().misses, ref.misses()) << "step " << step;
+    ASSERT_EQ(pool.stats().evictions, ref.evictions()) << "step " << step;
   }
 
   ASSERT_TRUE(pool.FlushAll().ok());
@@ -355,6 +380,21 @@ TEST(BufferPoolShardTest, ShardCountOneIsByteIdenticalToClassicLru) {
     EXPECT_EQ(0, std::memcmp(a.data(), b.data(), kPageSize))
         << "page " << id;
   }
+  // No op of the script leaks a pin: every page fetches at pin count 1.
+  for (PageId id : live) {
+    auto res = pool.FetchPage(id);
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res.value()->pin_count(), 1) << "leaked pin on page " << id;
+    pool.UnpinPage(id, false);
+  }
+}
+
+TEST(BufferPoolShardTest, ShardCountOneIsByteIdenticalToClassicLru) {
+  ReplayAgainstClassicLru(/*copy_share=*/0.0);
+}
+
+TEST(BufferPoolShardTest, CopyPageReplaysAsFetchPlusCleanUnpin) {
+  ReplayAgainstClassicLru(/*copy_share=*/0.5);
 }
 
 TEST(BufferPoolShardTest, PassThroughWorksWithManyShards) {

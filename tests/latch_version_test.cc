@@ -7,7 +7,13 @@
 //     snapshot and validation fails ValidateVersion;
 //   * TryBeginSnapshot fails while a writer holds the stripe;
 //   * the optimistic descent returns LatchContention once its restart
-//     budget starves (always-failing snapshot or always-stale validate);
+//     budget starves (always-failing snapshot or always-stale validate),
+//     and returns every match exactly once when validations fail and
+//     restart nodes whose subtrees already emitted matches;
+//   * OptimisticReaderHooks counts its snapshot tries locally and adds
+//     them to the table's totals once, on destruction;
+//   * one thread scans trees of different page sizes through its
+//     reused snapshot buffers;
 //   * its fallback, the S-coupled RTree::QueryCoupled, returns every
 //     object on a quiescent tree, returns LatchContention with nothing
 //     emitted when a child's stripe is X-held, and stays exact against
@@ -18,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -143,6 +150,50 @@ class AlwaysStaleHooks final : public VersionLatchHooks {
   LatchTable* table_;
 };
 
+/// Hooks over a real latch table whose Validate fails exactly once per
+/// page: every internal node the scan visits restarts once — the root
+/// last — so the descent re-scans subtrees whose matches it had already
+/// appended to its output.
+class FailsOncePerPageHooks final : public VersionLatchHooks {
+ public:
+  explicit FailsOncePerPageHooks(LatchTable* table) : table_(table) {}
+  bool TryBeginSnapshot(PageId page, uint64_t* v) override {
+    return table_->TryBeginSnapshot(page, v);
+  }
+  void EndSnapshot(PageId page) override { table_->EndSnapshot(page); }
+  bool Validate(PageId page, uint64_t v) override {
+    if (failed_.insert(page).second) return false;
+    return table_->ValidateVersion(page, v);
+  }
+  size_t failures() const { return failed_.size(); }
+
+ private:
+  LatchTable* table_;
+  std::set<PageId> failed_;
+};
+
+TEST(LatchVersionTest, OptimisticHooksReportTriesOnceOnDestruction) {
+  LatchTable table(64);
+  const PageId held = 5, free_page = 6;
+  ASSERT_NE(table.StripeOf(held), table.StripeOf(free_page));
+  PageLatchSet writer(&table);
+  writer.AcquireExclusive(held);
+  const LatchTableStats before = table.stats();
+  {
+    OptimisticReaderHooks hooks(&table);
+    uint64_t v = 0;
+    EXPECT_FALSE(hooks.TryBeginSnapshot(held, &v));
+    ASSERT_TRUE(hooks.TryBeginSnapshot(free_page, &v));
+    hooks.EndSnapshot(free_page);
+    // Counted in the hooks, not yet in the table: a node visit writes
+    // no table-wide counter.
+    EXPECT_EQ(table.stats().try_acquires, before.try_acquires);
+  }
+  const LatchTableStats after = table.stats();
+  EXPECT_EQ(after.try_acquires - before.try_acquires, 2u);
+  EXPECT_EQ(after.try_failures - before.try_failures, 1u);
+}
+
 class OptimisticFallbackTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -185,6 +236,60 @@ TEST_F(OptimisticFallbackTest, QuiescentOptimisticScanSeesEverything) {
       Rect(0, 0, 1, 1), [&](ObjectId, const Rect&) { ++count; }, &hooks);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(count, cfg_.workload.num_objects);
+}
+
+TEST_F(OptimisticFallbackTest, FailedValidationsReturnEveryMatchOnce) {
+  RTree& tree = fx_.system->tree();
+  ASSERT_TRUE(fx_.executor->use_summary());
+  for (const Rect& window : {Rect(0, 0, 1, 1), Rect(0.2, 0.3, 0.6, 0.7)}) {
+    std::vector<ObjectId> expected;
+    ASSERT_TRUE(tree.Query(window, [&](ObjectId oid, const Rect&) {
+                      expected.push_back(oid);
+                    }).ok());
+    std::sort(expected.begin(), expected.end());
+    ASSERT_FALSE(expected.empty());
+
+    // Full descent from the root, then the summary-pruned plan, whose
+    // per-parent scans share one output vector.
+    for (const bool pruned : {false, true}) {
+      LatchTable table(256);
+      FailsOncePerPageHooks hooks(&table);
+      std::vector<ObjectId> got;
+      const auto result = fx_.executor->QueryOptimistic(
+          window, &hooks,
+          [&](ObjectId oid, const Rect&) { got.push_back(oid); }, pruned,
+          /*budget=*/1 << 20);
+      ASSERT_TRUE(result.ok()) << "pruned=" << pruned;
+      EXPECT_GE(hooks.failures(), 2u) << "pruned=" << pruned;
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << "pruned=" << pruned;
+    }
+  }
+}
+
+TEST(OptimisticSnapshotBufferTest, TreesWithDifferentPageSizesShareOneThread) {
+  // The descent's per-depth snapshot buffers live per thread: scanning a
+  // small-page tree, then larger and smaller ones, must size every copy
+  // to the pool's page (the sanitizer legs catch an overrun).
+  for (const size_t page_size : {512, 4096, 256, 1024}) {
+    ExperimentConfig cfg;
+    cfg.strategy = StrategyKind::kGeneralizedBottomUp;
+    cfg.page_size = page_size;
+    cfg.workload.num_objects = 600;
+    cfg.workload.seed = 7;
+    WorkloadGenerator workload(cfg.workload);
+    StrategyFixture fx = MakeFixture(cfg);
+    ASSERT_TRUE(BuildIndex(cfg, workload, &fx).ok());
+    LatchTable table(256);
+    OptimisticReaderHooks hooks(&table);
+    uint64_t count = 0;
+    ASSERT_TRUE(fx.system->tree()
+                    .QueryOptimistic(Rect(0, 0, 1, 1),
+                                     [&](ObjectId, const Rect&) { ++count; },
+                                     &hooks)
+                    .ok());
+    EXPECT_EQ(count, cfg.workload.num_objects) << "page_size=" << page_size;
+  }
 }
 
 TEST_F(OptimisticFallbackTest, QuiescentCoupledScanSeesEverything) {

@@ -13,10 +13,8 @@ TEST(IoStatsTest, CountsReadsAndWrites) {
   s.RecordRead();
   s.RecordRead();
   s.RecordWrite();
-  s.RecordBufferHit();
   EXPECT_EQ(s.reads(), 2u);
   EXPECT_EQ(s.writes(), 1u);
-  EXPECT_EQ(s.buffer_hits(), 1u);
   EXPECT_EQ(s.total_io(), 3u);
 }
 
@@ -25,7 +23,6 @@ TEST(IoStatsTest, Reset) {
   s.RecordRead();
   s.Reset();
   EXPECT_EQ(s.total_io(), 0u);
-  EXPECT_EQ(s.buffer_hits(), 0u);
 }
 
 TEST(IoStatsTest, ThreadSafeCounting) {
