@@ -98,8 +98,7 @@ void EmitJson(const std::string& path, const std::string& suite,
         "     \"coupled_queries\": %" PRIu64
         ", \"optimistic_queries\": %" PRIu64
         ", \"optimistic_fallbacks\": %" PRIu64
-        ", \"pruned_queries\": %" PRIu64
-        ", \"coupled_reinserts\": %" PRIu64 ",\n"
+        ", \"pruned_queries\": %" PRIu64 ",\n"
         "     \"batched_updates\": %" PRIu64 ", \"batch_pages\": %" PRIu64
         ", \"batch_fallbacks\": %" PRIu64 ",\n"
         "     \"ingest_batches\": %" PRIu64
@@ -119,8 +118,8 @@ void EmitJson(const std::string& path, const std::string& suite,
         r.latch_stats.compound_smos, r.latch_stats.descent_restarts,
         r.latch_stats.coupled_queries, r.latch_stats.optimistic_queries,
         r.latch_stats.optimistic_fallbacks, r.latch_stats.pruned_queries,
-        r.latch_stats.coupled_reinserts, r.latch_stats.batched_updates,
-        r.latch_stats.batch_pages, r.latch_stats.batch_fallbacks,
+        r.latch_stats.batched_updates, r.latch_stats.batch_pages,
+        r.latch_stats.batch_fallbacks,
         r.ingest_stats.batches, r.ingest_stats.batched_ops,
         r.ingest_stats.max_batch, r.wal_stats.records, r.wal_stats.fsyncs,
         r.wal_stats.appended_bytes, r.wal_stats.checkpoints,

@@ -26,7 +26,7 @@ ROW_KEYS = [
     "dgl_aborts", "compound_smos", "descent_restarts",
     "coupled_queries",
     "optimistic_queries", "optimistic_fallbacks", "pruned_queries",
-    "coupled_reinserts", "batched_updates", "batch_pages",
+    "batched_updates", "batch_pages",
     "batch_fallbacks", "ingest_batches", "ingest_batched_ops",
     "ingest_max_batch", "wal_records", "wal_fsyncs",
     "wal_appended_bytes", "wal_checkpoints", "final_objects",

@@ -76,8 +76,7 @@ ConcurrentIndex::ConcurrentIndex(IndexSystem* system,
       executor_(executor),
       options_(options),
       lock_manager_(options.lock),
-      granules_(options.grid_bits),
-      latch_table_(options.latch_stripes) {
+      granules_(options.grid_bits) {
   if (options_.io_latency_in_op) {
     // The tree "disk" sleeps per access while the operation's latches
     // are held; ChargeIoLatency then becomes a no-op.
@@ -101,8 +100,6 @@ LatchModeStats ConcurrentIndex::latch_stats() const {
   s.optimistic_fallbacks =
       optimistic_fallbacks_.load(std::memory_order_relaxed);
   s.pruned_queries = pruned_queries_.load(std::memory_order_relaxed);
-  s.coupled_reinserts =
-      coupled_reinserts_.load(std::memory_order_relaxed);
   s.batched_updates = batched_updates_.load(std::memory_order_relaxed);
   s.batch_pages = batch_pages_.load(std::memory_order_relaxed);
   s.batch_fallbacks = batch_fallbacks_.load(std::memory_order_relaxed);
@@ -169,10 +166,9 @@ bool ConcurrentIndex::TryScopedUpdate(const UpdatePlan& plan, ObjectId oid,
   return true;
 }
 
-Status ConcurrentIndex::InsertCoupledWithRetry(
-    ObjectId oid, const Rect& rect, uint64_t pending_token,
-    std::vector<LeafEntry>* evicted,
-    std::vector<uint64_t>* evicted_tokens) {
+Status ConcurrentIndex::InsertCoupledWithRetry(ObjectId oid,
+                                               const Rect& rect,
+                                               uint64_t pending_token) {
   // Generous budget: with 4096 stripes a descent's try-latches rarely
   // collide, and each retry first drains the stripe it collided on while
   // holding nothing, so the loop makes progress instead of spinning.
@@ -184,37 +180,12 @@ Status ConcurrentIndex::InsertCoupledWithRetry(
       DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
       PageLatchSet latches(&latch_table_);
       CoupledWriterHooks hooks(&latches);
-      CoupledReinsert reinsert;
-      reinsert.enabled =
-          evicted != nullptr && system_->tree().options().forced_reinsert;
-      const Status st =
-          system_->tree().InsertCoupled(oid, rect, &hooks, &reinsert);
+      const Status st = system_->tree().InsertCoupled(oid, rect, &hooks);
       // The completion marker rides the record only on success: an
       // aborted attempt may still log images (its reserved-then-freed
       // sibling pages), and recovery must keep re-inserting the object.
       if (st.ok() && pending_token != 0) {
         wal_scope.SetCompletedInsert(pending_token);
-      }
-      if (st.ok() && !reinsert.evicted.empty()) {
-        // Forced re-insertion evicted entries from the full leaf. While
-        // the leaf's X latch is still held: log one pending note per
-        // evicted entry in the SAME record as the eviction (a crash in
-        // the gap replays them from the notes), and open the reinsert
-        // visibility bracket — the caller re-inserts the entries and
-        // closes it (CoupledInsertWithReinsert).
-        BURTREE_CHECK(evicted_tokens != nullptr);
-        for (const LeafEntry& e : reinsert.evicted) {
-          uint64_t tok = 0;
-          if (wal_scope.active()) {
-            tok = system_->wal()->NewToken();
-            wal_scope.AddPendingInsert(tok, e.oid, e.rect);
-          }
-          evicted_tokens->push_back(tok);
-        }
-        coupled_reinserts_.fetch_add(reinsert.evicted.size(),
-                                     std::memory_order_relaxed);
-        *evicted = std::move(reinsert.evicted);
-        reinsert_started_.fetch_add(1, std::memory_order_release);
       }
       obs_scope.Apply();
       wal_scope.Commit();  // append before the page latches release
@@ -234,72 +205,21 @@ Status ConcurrentIndex::InsertCoupledWithRetry(
   return Status::LatchContention("coupled insert starved");
 }
 
-Status ConcurrentIndex::CoupledInsertWithReinsert(ObjectId oid,
-                                                  const Rect& rect) {
-  std::vector<LeafEntry> evicted;
-  std::vector<uint64_t> tokens;
-  std::shared_lock<DrainGate> gate(smo_gate_);
-  const Status st = InsertCoupledWithRetry(oid, rect, /*pending_token=*/0,
-                                           &evicted, &tokens);
-  if (evicted.empty()) return st;  // no bracket opened
-
-  // The bracket is open: the evicted objects are physically absent from
-  // the tree until every one is back. Re-insert them under the same
-  // shared gate hold; each success completes that entry's WAL pending
-  // note. Eviction excluded on these (no recursion past one level).
-  size_t done = 0;
-  Status err = Status::OK();
-  for (; done < evicted.size(); ++done) {
-    const Status rst = InsertCoupledWithRetry(evicted[done].oid,
-                                              evicted[done].rect,
-                                              tokens[done]);
-    if (rst.code() == StatusCode::kLatchContention) break;  // starved
-    if (!rst.ok()) {
-      err = rst;
-      break;
-    }
+Status ConcurrentIndex::InsertCoupled(ObjectId oid, const Point& pos) {
+  {
+    std::shared_lock<DrainGate> gate(smo_gate_);
+    const Status st =
+        InsertCoupledWithRetry(oid, IndexSystem::PointRect(pos));
+    if (st.code() != StatusCode::kLatchContention) return st;
   }
-  if (done == evicted.size() || !err.ok()) {
-    reinsert_completed_.fetch_add(1, std::memory_order_release);
-    return err.ok() ? st : err;
-  }
-
-  // A re-insert starved past the latch budget: finish under the
-  // exclusive gate. Release our shared hold first (the exclusive
-  // acquire drains all shared holders, ourselves included), and take
-  // the gate DIRECTLY rather than via AcquireCompoundGate — the open
-  // bracket is this thread's own, and every other compound op is
-  // spinning outside the gate waiting for us to close it.
-  gate.unlock();
+  // Starved past the latch budget: release the shared hold (the
+  // exclusive acquire drains every shared holder) and run the stock
+  // insert on the drained tree.
   compound_smos_.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<DrainGate> xgate(smo_gate_);
-  for (; done < evicted.size(); ++done) {
-    WalOpScope wal_scope(system_->wal());
-    DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
-    const Status rst =
-        system_->tree().Insert(evicted[done].oid, evicted[done].rect);
-    if (!rst.ok()) {
-      err = rst;
-      break;
-    }
-    if (tokens[done] != 0) wal_scope.SetCompletedInsert(tokens[done]);
-  }
-  reinsert_completed_.fetch_add(1, std::memory_order_release);
-  return err.ok() ? st : err;
-}
-
-void ConcurrentIndex::AcquireCompoundGate(std::unique_lock<DrainGate>& lk) {
-  for (;;) {
-    lk.lock();
-    if (reinsert_started_.load(std::memory_order_acquire) ==
-        reinsert_completed_.load(std::memory_order_acquire)) {
-      return;
-    }
-    // An open reinsert bracket: its holder may need this very gate to
-    // finish a starved re-insert, so never wait while holding it.
-    lk.unlock();
-    std::this_thread::yield();
-  }
+  WalOpScope wal_scope(system_->wal());
+  DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
+  return system_->Insert(oid, pos);
 }
 
 Status ConcurrentIndex::CoupledEscalatedUpdate(ObjectId oid,
@@ -408,11 +328,9 @@ Status ConcurrentIndex::UpdateCoupled(ObjectId oid, const Point& from,
   }
   // Compound structure modification: drain all coupled traffic (every
   // coupled operation holds the gate shared), then run the stock
-  // single-threaded code. The acquire waits out any open reinsert
-  // bracket so the strategy's oid lookups are authoritative.
+  // single-threaded code.
   compound_smos_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
-  AcquireCompoundGate(xgate);
+  std::unique_lock<DrainGate> xgate(smo_gate_);
   WalOpScope wal_scope(system_->wal());
   DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
   if (needs == CompoundNeed::kInsertOnly) {
@@ -463,17 +381,7 @@ Status ConcurrentIndex::Insert(ObjectId oid, const Point& pos) {
     DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
     op_status = system_->Insert(oid, pos);
   } else {
-    // Owns the shared gate internally; with forced re-insertion
-    // configured it also runs the eviction + re-insert lifecycle.
-    op_status = CoupledInsertWithReinsert(oid, IndexSystem::PointRect(pos));
-    if (op_status.code() == StatusCode::kLatchContention) {
-      compound_smos_.fetch_add(1, std::memory_order_relaxed);
-      std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
-      AcquireCompoundGate(xgate);
-      WalOpScope wal_scope(system_->wal());
-      DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
-      op_status = system_->Insert(oid, pos);
-    }
+    op_status = InsertCoupled(oid, pos);
   }
   ChargeIoLatency(PageStore::thread_io());
   lock_manager_.ReleaseAll(ts);
@@ -499,11 +407,9 @@ Status ConcurrentIndex::Delete(ObjectId oid, const Point& pos) {
     op_status = system_->tree().Delete(oid, rect);
   } else {
     // Exactly the underflow-condense compound path: drain all coupled
-    // traffic (waiting out any open reinsert bracket), then run the
-    // stock single-threaded delete.
+    // traffic, then run the stock single-threaded delete.
     compound_smos_.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
-    AcquireCompoundGate(xgate);
+    std::unique_lock<DrainGate> xgate(smo_gate_);
     WalOpScope wal_scope(system_->wal());
     DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
     op_status = system_->tree().Delete(oid, rect);
@@ -524,8 +430,7 @@ StatusOr<size_t> ConcurrentIndex::Knn(const Point& query, size_t k) {
       return system_->tree().NearestNeighbors(query, k);
     }
     compound_smos_.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
-    AcquireCompoundGate(xgate);
+    std::unique_lock<DrainGate> xgate(smo_gate_);
     return system_->tree().NearestNeighbors(query, k);
   }();
   ChargeIoLatency(PageStore::thread_io());
@@ -563,21 +468,6 @@ StatusOr<size_t> ConcurrentIndex::QueryCoupled(const Rect& window,
         std::this_thread::sleep_for(
             std::chrono::microseconds(1u << std::min(attempt, 7)));
       }
-      // Reinsert visibility bracket, read side: between a forced
-      // re-insertion's eviction and the completion of its re-inserts
-      // the evicted objects are physically absent, so a scan in the gap
-      // would miss objects that are logically present. Back off until
-      // the bracket closes — releasing the gate while waiting, because
-      // the bracket holder may need the gate's exclusive side to finish
-      // a starved re-insert.
-      const uint64_t bracket =
-          reinsert_started_.load(std::memory_order_acquire);
-      if (bracket != reinsert_completed_.load(std::memory_order_acquire)) {
-        gate.unlock();
-        std::this_thread::yield();
-        gate.lock();
-        continue;
-      }
       const bool optimistic = attempt < kOptimisticAttempts;
       if (!optimistic && !fell_back) {
         fell_back = true;
@@ -600,13 +490,6 @@ StatusOr<size_t> ConcurrentIndex::QueryCoupled(const Rect& window,
       if (result.status().code() == StatusCode::kLatchContention) {
         continue;
       }
-      // Bracket re-check: a re-insertion may have evicted mid-scan. Its
-      // `started` bump happens under the evicting leaf's X latch, so if
-      // this scan observed any post-eviction page the bump is visible
-      // here (X-release → S/snapshot-acquire ordering on the stripe).
-      if (reinsert_started_.load(std::memory_order_acquire) != bracket) {
-        continue;
-      }
       coupled_queries_.fetch_add(1, std::memory_order_relaxed);
       if (result.ok() && optimistic) {
         optimistic_queries_.fetch_add(1, std::memory_order_relaxed);
@@ -619,12 +502,9 @@ StatusOr<size_t> ConcurrentIndex::QueryCoupled(const Rect& window,
       return result;
     }
   }
-  // Starved past the retry budget: drain and run single-threaded. The
-  // acquire waits out any open reinsert bracket (never while holding
-  // the gate) so the drained scan sees every logically present object.
+  // Starved past the retry budget: drain and run single-threaded.
   compound_smos_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
-  AcquireCompoundGate(xgate);
+  std::unique_lock<DrainGate> xgate(smo_gate_);
   StatusOr<size_t> result = executor_->Query(window);
   *ios = PageStore::thread_io();  // includes the aborted coupled attempts
   return result;
@@ -846,18 +726,8 @@ Status ConcurrentIndex::InsertBatch(std::vector<BatchInsertOp>& ops) {
     // to batch under one latch hold); the DGL round trip is the
     // amortized part.
     for (BatchInsertOp& op : ops) {
-      Status st =
-          CoupledInsertWithReinsert(op.oid, IndexSystem::PointRect(op.pos));
-      if (st.code() == StatusCode::kLatchContention) {
-        compound_smos_.fetch_add(1, std::memory_order_relaxed);
-        std::unique_lock<DrainGate> xgate(smo_gate_, std::defer_lock);
-        AcquireCompoundGate(xgate);
-        WalOpScope wal_scope(system_->wal());
-        DeferredObserverScope obs_scope(system_->tree().subscribed_observer());
-        st = system_->Insert(op.oid, op.pos);
-      }
+      record(op, InsertCoupled(op.oid, op.pos));
       batch_pages_.fetch_add(1, std::memory_order_relaxed);
-      record(op, st);
     }
   }
   ChargeIoLatency(PageStore::thread_io());

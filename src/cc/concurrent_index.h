@@ -93,8 +93,6 @@ struct ConcurrencyOptions {
   bool io_latency_in_op = false;
   LatchMode latch_mode = LatchMode::kGlobal;
   ReadMode read_mode = ReadMode::kOptimistic;  ///< unused; see ReadMode
-  /// Stripes in the page-latch table (rounded up to a power of two).
-  size_t latch_stripes = LatchTable::kDefaultStripes;
   LockManagerOptions lock;
 };
 
@@ -128,9 +126,6 @@ struct LatchModeStats {
   /// Coupled-mode queries that completed through a summary-pruned,
   /// epoch-validated plan instead of a full root descent.
   uint64_t pruned_queries = 0;
-  /// Entries evicted by coupled forced re-insertion (and re-inserted
-  /// under the reinsert visibility bracket).
-  uint64_t coupled_reinserts = 0;
   /// Operations executed through the batch APIs (UpdateBatch +
   /// InsertBatch), including the ones that later fell back per-op.
   uint64_t batched_updates = 0;
@@ -275,35 +270,16 @@ class ConcurrentIndex {
 
   /// Latch-coupled insert with restart/backoff: retries
   /// RTree::InsertCoupled until it commits or the attempt budget runs
-  /// out (Status::LatchContention — the caller goes compound). A
-  /// nonzero `pending_token` marks the insert as the completion of a
-  /// WAL pending-reinsert record. A non-null `evicted` enables coupled
-  /// forced re-insertion (when the tree is configured for it): on an
-  /// eviction the method logs one WAL pending note per evicted entry in
-  /// the eviction record, opens the reinsert visibility bracket
-  /// (reinsert_started_), and returns the entries + tokens — the caller
-  /// MUST re-insert them and close the bracket (see
-  /// CoupledInsertWithReinsert).
+  /// out (Status::LatchContention — the caller goes compound). The
+  /// caller holds smo_gate_ shared. A nonzero `pending_token` marks the
+  /// insert as the completion of a WAL pending-reinsert record.
   Status InsertCoupledWithRetry(ObjectId oid, const Rect& rect,
-                                uint64_t pending_token = 0,
-                                std::vector<LeafEntry>* evicted = nullptr,
-                                std::vector<uint64_t>* evicted_tokens = nullptr);
+                                uint64_t pending_token = 0);
 
-  /// Coupled-mode insert owning the forced-reinsert lifecycle: acquires
-  /// the SMO gate shared, runs the insert with eviction enabled, then
-  /// re-inserts every evicted entry (starved ones complete under the
-  /// exclusive gate — acquired directly, since the open bracket is this
-  /// thread's own) and closes the bracket. Returns LatchContention only
-  /// when the *primary* insert starved with no eviction, in which case
-  /// the caller falls through to the ordinary compound insert.
-  Status CoupledInsertWithReinsert(ObjectId oid, const Rect& rect);
-
-  /// Acquires the compound-SMO gate exclusively, waiting out any open
-  /// reinsert visibility bracket with a release-and-retry loop — never
-  /// waiting while holding the gate, because the bracket holder may
-  /// itself need the exclusive gate to finish a starved re-insert.
-  /// `lk` must be a deferred lock on smo_gate_.
-  void AcquireCompoundGate(std::unique_lock<DrainGate>& lk);
+  /// Coupled-mode insert of one object: the latch-coupled descent under
+  /// the shared gate, then — if it starved — the stock insert under the
+  /// exclusive gate.
+  Status InsertCoupled(ObjectId oid, const Point& pos);
 
   IndexSystem* system_;
   UpdateStrategy* strategy_;
@@ -337,24 +313,11 @@ class ConcurrentIndex {
   std::atomic<uint64_t> optimistic_queries_{0};
   std::atomic<uint64_t> optimistic_fallbacks_{0};
   std::atomic<uint64_t> pruned_queries_{0};
-  std::atomic<uint64_t> coupled_reinserts_{0};
   std::atomic<uint64_t> batched_updates_{0};
   std::atomic<uint64_t> batch_pages_{0};
   std::atomic<uint64_t> batch_fallbacks_{0};
   std::atomic<uint64_t> deletes_{0};
   std::atomic<uint64_t> knn_queries_{0};
-  /// Reinsert visibility bracket (seqlock over the eviction gap): a
-  /// coupled forced re-insertion bumps `started` while the evicting
-  /// leaf's X latch is still held, re-inserts the evicted entries in
-  /// fresh latch scopes, then bumps `completed`. While started !=
-  /// completed the evicted objects are physically absent from the tree,
-  /// so queries check the bracket before and after each attempt (the
-  /// X-release/S-acquire ordering on the leaf's stripe makes the
-  /// `started` bump visible to any reader that saw the post-eviction
-  /// leaf), and compound operations wait for it to close before
-  /// proceeding (AcquireCompoundGate).
-  std::atomic<uint64_t> reinsert_started_{0};
-  std::atomic<uint64_t> reinsert_completed_{0};
 };
 
 }  // namespace burtree

@@ -90,16 +90,16 @@ struct TreeOptions {
   /// maintenance, exactly the drawback the paper attributes to LBU.
   bool parent_pointers = false;
 
-  /// Re-insert orphaned entries on underflow (CondenseTree). The paper's
-  /// baseline is "the original R-tree with re-insertions".
-  bool reinsert_on_underflow = true;
-
   /// R*-style forced re-insertion on node overflow: instead of splitting
   /// immediately, evict the `reinsert_fraction` of entries farthest from
   /// the node's center (once per level per operation) and re-insert them
   /// from the root. Improves query quality at extra update cost — the
   /// alternative reading of the paper's "R-tree with re-insertions"
-  /// baseline; off by default, exercised by the ablation bench.
+  /// baseline (which CondenseTree's underflow re-insertion always
+  /// implements); off by default, exercised by the ablation bench.
+  /// Applies wherever inserts are serialized: single-threaded runs,
+  /// global latch mode, and coupled mode's drained compound operations.
+  /// Coupled mode's latch-coupled insert descents always split.
   bool forced_reinsert = false;
   double reinsert_fraction = 0.3;
 };

@@ -585,7 +585,7 @@ Status RTree::CondenseTree(const std::vector<PageId>& path) {
     NodeView v = View(g);
     const bool leaf = v.is_leaf();
 
-    if (v.count() < MinFill(leaf) && options_.reinsert_on_underflow) {
+    if (v.count() < MinFill(leaf)) {
       // Eliminate the node; stash its entries for re-insertion.
       Orphan o{v.level(), {}};
       o.entries.reserve(v.count());
@@ -820,8 +820,7 @@ Status RTree::Query(const Rect& window, const QueryCallback& cb) {
 // ---------------------------------------------------------------------------
 
 Status RTree::InsertCoupled(ObjectId oid, const Rect& rect,
-                            ExclusiveLatchHooks* hooks,
-                            CoupledReinsert* reinsert) {
+                            ExclusiveLatchHooks* hooks) {
   BURTREE_CHECK(hooks != nullptr);
   BURTREE_CHECK(t_coupled_ctx == nullptr);  // no nesting
 
@@ -866,26 +865,6 @@ Status RTree::InsertCoupled(ObjectId oid, const Rect& rect,
       }
       cur = chosen.child;
     }
-  }
-
-  // Coupled forced re-insertion: a full leaf whose parent is still
-  // retained (a full child is never split-safe, so the parent latch was
-  // kept) is relieved by evicting its farthest entries instead of
-  // splitting — no page allocation, no promoted entry, one atomic
-  // mutation under the already-held latches. The evicted entries return
-  // to the caller, which re-inserts them in fresh descents (with
-  // reinsert disabled there, so the recursion is one level deep). A
-  // root leaf (retained.size() == 1) still splits: eviction cannot
-  // relieve a tree that needs to grow.
-  if (reinsert != nullptr && reinsert->enabled && retained.back().full &&
-      retained.size() >= 2) {
-    std::vector<PageId> path;
-    path.reserve(retained.size());
-    for (const Retained& a : retained) path.push_back(a.page);
-    const Status st = CoupledReinsertOverflow(path, rect, oid,
-                                              &reinsert->evicted);
-    if (st.ok()) stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-    return st;
   }
 
   // Reservation, still pre-mutation: the maximal suffix of full retained
@@ -957,77 +936,6 @@ Status RTree::InsertCoupled(ObjectId oid, const Rect& rect,
   BURTREE_CHECK(!st.ok() || ctx.next == prealloc.size());
   if (st.ok()) stats_.inserts.fetch_add(1, std::memory_order_relaxed);
   return st;
-}
-
-Status RTree::CoupledReinsertOverflow(const std::vector<PageId>& path,
-                                      const Rect& rect, ObjectId oid,
-                                      std::vector<LeafEntry>* evicted) {
-  const PageId leaf_id = path.back();
-  PageGuard g = PageGuard::Fetch(pool_, leaf_id);
-  NodeView v = View(g);
-  BURTREE_CHECK(v.is_leaf() && v.full());
-
-  // R* ordering: evict the entries whose centers lie farthest from the
-  // leaf's center. The pending entry is excluded from eviction so the
-  // insert itself completes in this mutation.
-  const Point center = v.mbr().Center();
-  std::vector<uint32_t> order(v.count());
-  for (uint32_t k = 0; k < v.count(); ++k) order[k] = k;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return v.entry_rect(a).Center().DistanceTo(center) >
-           v.entry_rect(b).Center().DistanceTo(center);
-  });
-  uint32_t evict = std::max<uint32_t>(
-      1, static_cast<uint32_t>(
-             std::lround(options_.reinsert_fraction * v.capacity())));
-  const uint32_t min_keep = MinFill(/*leaf=*/true);
-  // After evicting `evict` and adding the pending entry the leaf holds
-  // count - evict + 1 entries; keep that at or above min fill.
-  if (v.count() + 1 - evict < min_keep) {
-    evict = v.count() + 1 - min_keep;
-  }
-  BURTREE_CHECK(evict >= 1 && evict <= v.count());
-
-  std::vector<LeafEntry> kept;
-  kept.reserve(v.count() - evict);
-  for (uint32_t k = 0; k < evict; ++k) {
-    evicted->push_back(v.leaf_entry(order[k]));
-  }
-  for (uint32_t k = evict; k < order.size(); ++k) {
-    kept.push_back(v.leaf_entry(order[k]));
-  }
-
-  // Rewrite the leaf with the kept entries plus the pending one and a
-  // tightened cover.
-  v.set_count(0);
-  Rect new_cover = Rect::Empty();
-  for (const LeafEntry& e : kept) {
-    v.AppendLeafEntry(e);
-    new_cover.ExpandToInclude(e.rect);
-  }
-  v.AppendLeafEntry(LeafEntry{rect, oid});
-  new_cover.ExpandToInclude(rect);
-  v.set_mbr(new_cover);
-  g.MarkDirty();
-
-  for (const LeafEntry& e : *evicted) {
-    observer()->OnLeafEntryRemoved(e.oid, leaf_id);
-  }
-  observer()->OnLeafEntryAdded(oid, leaf_id);
-  NotifyLeafOccupancy(leaf_id, v);
-  observer()->OnNodeMbrChanged(leaf_id, /*level=*/0, new_cover);
-  g.Release();
-
-  // Tighten routing entries up the retained (all-latched) path. Above
-  // path[0] nothing changes: the caller's split-safe release rule only
-  // dropped ancestors whose routing entries already contained the new
-  // rect, and eviction only shrinks the leaf cover — a loose routing
-  // entry above the retained top is allowed by the MBR discipline.
-  AdjustAncestors(path, static_cast<int>(path.size()) - 2, leaf_id,
-                  new_cover, /*expand_only=*/false);
-
-  stats_.forced_reinserts.fetch_add(evict, std::memory_order_relaxed);
-  return Status::OK();
 }
 
 Status RTree::QueryCoupledNode(PageId page, const Rect& window,

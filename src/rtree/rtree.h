@@ -129,16 +129,6 @@ class ExclusiveLatchHooks {
   virtual void ReleaseExclusive(PageId page) = 0;
 };
 
-/// In/out parameter of RTree::InsertCoupled enabling R*-style forced
-/// re-insertion on the coupled path (see InsertCoupled's comment). The
-/// caller re-inserts `evicted` itself because the re-inserts need fresh
-/// descents (new latch scopes) and WAL pending-note tokens — both owned
-/// by the cc layer, not the tree.
-struct CoupledReinsert {
-  bool enabled = false;
-  std::vector<LeafEntry> evicted;  ///< filled when an eviction happened
-};
-
 class RTree {
  public:
   RTree(BufferPool* pool, const TreeOptions& options);
@@ -231,20 +221,11 @@ class RTree {
   /// try-latch failure (descent or reservation) returns
   /// Status::LatchContention with the tree untouched, and the caller
   /// releases all latches and retries. Never takes any tree-wide latch.
-  ///
-  /// Forced re-insertion (R* overflow treatment) on this path goes
-  /// through `reinsert`: when it is non-null with enabled=true and the
-  /// chosen leaf is full with its parent still retained, the leaf is
-  /// relieved by evicting its farthest entries (one atomic mutation —
-  /// rewrite + cover tighten + parent routing update, all under the
-  /// retained latches) instead of splitting; the evicted entries are
-  /// returned in reinsert->evicted and MUST be re-inserted by the caller
-  /// (each logged as a WAL pending note in the same record) while its
-  /// reinsert visibility bracket is open. Null/disabled reinsert means
-  /// overflow always splits (the pre-PR-7 behavior).
+  /// Overflow always splits: forced re-insertion (TreeOptions::
+  /// forced_reinsert) re-enters from the root, which would tighten
+  /// released ancestors, so only the serialized insert paths run it.
   Status InsertCoupled(ObjectId oid, const Rect& rect,
-                       ExclusiveLatchHooks* hooks,
-                       CoupledReinsert* reinsert = nullptr);
+                       ExclusiveLatchHooks* hooks);
 
   /// One attempt at a fully latch-coupled window query (coupled latch
   /// mode): S-latch the root (blocking, holding nothing), then couple
@@ -467,16 +448,6 @@ class RTree {
                              VersionLatchHooks* hooks,
                              std::vector<LeafEntry>* out, int* budget,
                              size_t depth);
-
-  /// Coupled-path forced re-insertion (see InsertCoupled): path.back()
-  /// is the full leaf, every path element is retained/X-latched by the
-  /// caller's hooks. Evicts the entries farthest from the leaf center
-  /// into *evicted, inserts the pending entry, tightens the cover, and
-  /// updates ancestor routing entries — one atomic mutation, no page
-  /// allocation.
-  Status CoupledReinsertOverflow(const std::vector<PageId>& path,
-                                 const Rect& rect, ObjectId oid,
-                                 std::vector<LeafEntry>* evicted);
 
   BufferPool* pool_;
   TreeOptions options_;

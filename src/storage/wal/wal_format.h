@@ -53,10 +53,11 @@ enum class WalLogicalKind : uint8_t {
 };
 
 /// One additional pending re-insert note riding on a record (see
-/// WalRecord::pending): the coupled forced re-insertion evicts several
-/// far entries from a leaf in ONE atomic mutation, and each evicted
-/// entry needs its own kPendingInsert-style note in that same record so
-/// a crash before its re-insert completes cannot lose it.
+/// WalRecord::pending): several entries removed in ONE atomic mutation
+/// each need their own kPendingInsert-style note in that same record so
+/// a crash before their re-inserts complete cannot lose them. No
+/// current writer adds notes; the format and replay keep the list so
+/// logs written by earlier versions, which carry them, still recover.
 struct WalPendingNote {
   uint64_t token = 0;
   ObjectId oid = kInvalidObjectId;
@@ -111,11 +112,11 @@ struct WalRecord {
   ObjectId oid = kInvalidObjectId;
   Rect rect;
 
-  /// Extra pending-insert notes (coupled forced re-insertion evictions),
-  /// orthogonal to `logical`: a record may carry a kCompletedInsert AND
-  /// a pending list when an escalated re-insert itself evicts. Replay
-  /// treats each note exactly like a kPendingInsert. At most 255 per
-  /// record (u8 count in the header's former reserved byte).
+  /// Extra pending-insert notes (see WalPendingNote), orthogonal to
+  /// `logical`: a record may carry a kCompletedInsert AND a pending
+  /// list. Replay treats each note exactly like a kPendingInsert. At
+  /// most 255 per record (u8 count in the header's former reserved
+  /// byte).
   std::vector<WalPendingNote> pending;
 
   /// After-images, applied in order during replay (within one record the

@@ -670,12 +670,6 @@ void WalOpScope::SetCompletedInsert(uint64_t token) {
   t_scratch.rec.token = token;
 }
 
-void WalOpScope::AddPendingInsert(uint64_t token, ObjectId oid,
-                                  const Rect& rect) {
-  if (wal_ == nullptr) return;
-  t_scratch.rec.pending.push_back(WalPendingNote{token, oid, rect});
-}
-
 void WalOpScope::CapturePage(BufferPool* pool, Page* page) {
   if (wal_ == nullptr) return;
   const PageId id = page->page_id();

@@ -324,13 +324,6 @@ class WalOpScope {
   void SetPendingInsert(uint64_t token, ObjectId oid, const Rect& rect);
   void SetCompletedInsert(uint64_t token);
 
-  /// Adds one pending re-insert note to this scope's record, on top of
-  /// (and orthogonal to) the single SetPending/SetCompleted slot — the
-  /// coupled forced re-insertion evicts several entries in one atomic
-  /// mutation and each rides the same record as its own note. Replay
-  /// treats every note like a kPendingInsert with that token.
-  void AddPendingInsert(uint64_t token, ObjectId oid, const Rect& rect);
-
   /// Root note riding this scope's record (via WalManager adapter).
   void NoteRoot(PageId root, Level root_level);
 

@@ -6,6 +6,7 @@
 #include <thread>
 #include <tuple>
 
+#include "concurrency_test_util.h"
 #include "harness/experiment.h"
 
 namespace burtree {
@@ -145,6 +146,75 @@ TEST(ConcurrentIndexTest, LatencyChargedPerIo) {
   ASSERT_TRUE(slow.Update(1, from, to).ok());
   // The in-place path costs ~3 I/Os -> at least ~6 ms of simulated disk.
   EXPECT_GE(sw.ElapsedSeconds(), 0.004);
+}
+
+// Forced re-insertion re-enters from the root, so it runs only where
+// inserts are serialized: global mode force-reinserts on overflow, while
+// coupled mode's latch-coupled descents always split.
+TEST(ConcurrentIndexTest, CoupledInsertsSplitWhileGlobalInsertsReinsert) {
+  constexpr uint64_t kObjects = 1000;
+  constexpr uint64_t kInserts = 400;
+  for (const LatchMode mode : {LatchMode::kGlobal, LatchMode::kCoupled}) {
+    SCOPED_TRACE(LatchModeName(mode));
+    ExperimentConfig cfg;
+    cfg.strategy = StrategyKind::kGeneralizedBottomUp;
+    cfg.page_size = 512;  // ~11 entries per leaf: the inserts overflow
+    cfg.forced_reinsert = true;
+    cfg.workload.num_objects = kObjects;
+    cfg.workload.seed = 31;
+    WorkloadGenerator workload(cfg.workload);
+    StrategyFixture fx = MakeFixture(cfg);
+    ASSERT_TRUE(BuildIndex(cfg, workload, &fx).ok());
+    ConcurrencyOptions copts;
+    copts.io_latency_us = 0;
+    copts.latch_mode = mode;
+    ConcurrentIndex index(fx.system.get(), fx.strategy.get(),
+                          fx.executor.get(), copts);
+    RTree& tree = fx.system->tree();
+
+    // Deltas across the inserts only: the build itself force-reinserts.
+    // Half the inserts go one by one, half through InsertBatch.
+    const RTreeStats before = tree.stats();
+    Rng rng(77);
+    std::vector<Point> pos;
+    std::vector<BatchInsertOp> batch;
+    for (ObjectId i = 0; i < kInserts; ++i) {
+      const ObjectId oid = kObjects + i;
+      pos.push_back(Point{rng.NextDouble(), rng.NextDouble()});
+      if (i < kInserts / 2) {
+        ASSERT_TRUE(index.Insert(oid, pos.back()).ok());
+        continue;
+      }
+      batch.push_back(BatchInsertOp{oid, pos.back(), Status::OK()});
+      if (batch.size() == 20) {
+        ASSERT_TRUE(index.InsertBatch(batch).ok());
+        batch.clear();
+      }
+    }
+    const RTreeStats after = tree.stats();
+
+    EXPECT_GT(after.leaf_splits, before.leaf_splits);
+    if (mode == LatchMode::kCoupled) {
+      EXPECT_EQ(after.forced_reinserts, before.forced_reinserts);
+      // Every insert ran the latch-coupled descent; none drained into
+      // the serialized insert.
+      EXPECT_EQ(index.latch_stats().coupled_inserts, kInserts);
+      EXPECT_EQ(index.latch_stats().compound_smos, 0u);
+    } else {
+      EXPECT_GT(after.forced_reinserts, before.forced_reinserts);
+    }
+    EXPECT_TRUE(tree.Validate().ok());
+    EXPECT_EQ(testutil::FullSpaceCount(tree), kObjects + kInserts);
+    for (ObjectId i = 0; i < kInserts; ++i) {
+      bool found = false;
+      ASSERT_TRUE(tree.Query(Rect::FromPoint(pos[i]),
+                             [&](ObjectId oid, const Rect&) {
+                               found |= oid == kObjects + i;
+                             })
+                      .ok());
+      EXPECT_TRUE(found) << "oid " << kObjects + i;
+    }
+  }
 }
 
 TEST(ConcurrentIndexTest, MutationsFailOnceTheWalFailed) {

@@ -16,7 +16,6 @@ TEST(OptionsTest, TreeDefaultsMatchPaperSetup) {
   EXPECT_DOUBLE_EQ(t.min_fill_fraction, 0.4);
   EXPECT_EQ(t.split, SplitAlgorithm::kQuadratic);
   EXPECT_FALSE(t.parent_pointers);  // LBU opts in explicitly
-  EXPECT_TRUE(t.reinsert_on_underflow);
   EXPECT_FALSE(t.forced_reinsert);
 }
 
